@@ -1,5 +1,6 @@
 //! The observability benchmark: captures strobe-aligned power waveforms
-//! for every suite design on the serial and wide engines, verifies
+//! for every suite design on the serial engine and the compiled tape,
+//! verifies
 //! each waveform integrates bit-exactly to the engine's cumulative
 //! energy readback, measures the wall-clock cost of tracing, and writes
 //! `BENCH_trace.json` plus one `.waveform` file per design.
@@ -7,14 +8,14 @@
 //! Usage: `cargo run -p pe-bench --release --bin trace --
 //! [--scale test|paper] [--jobs N] [--cache-dir DIR] [--out PATH]
 //! [--waveform-dir DIR] [--sample-period N] [--capture MODE]
-//! [--engine graph|tape] [--lanes 64|128|256]`
+//! [--lanes 64|128|256]`
 //!
-//! `--engine tape` runs the wide leg on the compiled instruction
-//! tape instead of the graph interpreter; the serial leg stays on the
-//! graph engine, so the run doubles as a cross-engine bit-exactness
-//! check (the assemble stage rejects the first diverging sample).
-//! `--lanes` picks the wide leg's lane-word width (default 64); the
-//! traced lane-0 waveform must be identical at every width.
+//! The wide leg runs on the compiled instruction tape and the serial
+//! leg on the reference simulator, so every run doubles as a
+//! cross-engine bit-exactness check (the assemble stage rejects the
+//! first diverging sample). `--lanes` picks the wide leg's lane-word
+//! width (default 64); the traced lane-0 waveform must be identical at
+//! every width.
 //!
 //! `--jobs 1` (the default) keeps the overhead columns uncontended.
 //! `--sample-period N` samples every Nth strobe boundary; the default 64
@@ -30,7 +31,7 @@ use pe_bench::cli::{BenchArgs, CliError, FlagExt};
 use pe_bench::standard_flow;
 use pe_designs::suite::all_benchmarks;
 use pe_harness::trace::{mean_overhead_pct, render_json, run_trace_bench};
-use pe_harness::{Engine, Fanout, Metrics, RegistrySink, StderrLines};
+use pe_harness::{Fanout, Metrics, RegistrySink, StderrLines};
 use pe_trace::{CaptureMode, Profiler, Registry};
 use std::path::PathBuf;
 
@@ -39,7 +40,6 @@ struct TraceExt {
     waveform_dir: PathBuf,
     sample_period: u32,
     capture: CaptureMode,
-    engine: Engine,
     lanes: usize,
 }
 
@@ -77,9 +77,6 @@ impl FlagExt for TraceExt {
                 })?;
             }
             "--capture" => self.capture = parse_capture(&value("--capture")?)?,
-            "--engine" => {
-                self.engine = value("--engine")?.parse().map_err(CliError::Invalid)?;
-            }
             "--lanes" => {
                 let raw = value("--lanes")?;
                 self.lanes = match raw.as_str() {
@@ -105,7 +102,6 @@ fn main() {
         waveform_dir: PathBuf::from("waveforms"),
         sample_period: 64,
         capture: CaptureMode::Decimate(4096),
-        engine: Engine::Graph,
         lanes: 64,
     };
     let args = BenchArgs::from_env_with(
@@ -115,7 +111,6 @@ fn main() {
          \x20 --waveform-dir DIR   per-design waveform files (default: waveforms/)\n\
          \x20 --sample-period N    sample every N strobes (default: 64)\n\
          \x20 --capture MODE       unbounded | ring:N | decimate:N (default: decimate:4096)\n\
-         \x20 --engine ENGINE      graph | tape wide engine (default: graph)\n\
          \x20 --lanes N            wide-leg lane width, 64 | 128 | 256 (default: 64)\n",
     );
     let cache = args.open_cache();
@@ -123,8 +118,8 @@ fn main() {
 
     println!(
         "observability evaluation — power waveforms and tracing overhead \
-         ({:?} scale, {} job(s), {} wide engine at {} lanes)",
-        args.scale, args.jobs, ext.engine, ext.lanes
+         ({:?} scale, {} job(s), tape at {} lanes)",
+        args.scale, args.jobs, ext.lanes
     );
     println!("(every waveform must integrate bit-exactly to the engine's cumulative energy");
     println!(" readback, and serial vs wide lane 0 must match sample-for-sample)");
@@ -140,7 +135,6 @@ fn main() {
         &standard_flow,
         &benchmarks,
         args.scale,
-        ext.engine,
         ext.lanes,
         ext.sample_period,
         ext.capture,
@@ -192,7 +186,6 @@ fn main() {
     let doc = render_json(
         &trace_rows,
         args.scale,
-        ext.engine,
         ext.sample_period,
         &profiler,
         &registry,

@@ -1,9 +1,10 @@
 //! The bit-parallel throughput benchmark: runs every suite design's
 //! testbench through 64 serial single-lane simulations, then through the
-//! wide graph engine and the compiled-tape engine at every requested lane
-//! width (64, 128, 256 — lane `l` replays shard `l % 64`), verifies the
+//! compiled tape (baseline and optimized) at every requested lane width
+//! (64, 128, 256 — lane `l` replays shard `l % 64`), verifies the
 //! waveforms bit-identical lane by lane at every width, and writes the
-//! measurements to `BENCH_wide.json` with per-width geomeans.
+//! measurements to `BENCH_wide.json` with per-width geomeans of the
+//! serial-equivalent speedups.
 //!
 //! Usage: `cargo run -p pe-bench --release --bin wide --
 //! [--scale test|paper] [--jobs N] [--lanes LIST] [--cache-dir DIR]
@@ -19,8 +20,8 @@
 use pe_bench::cli::{BenchArgs, CliError, FlagExt};
 use pe_designs::suite::all_benchmarks;
 use pe_harness::wide::{
-    geomean_opt_speedup, geomean_settle_mlcps, geomean_speedup, geomean_tape_speedup, render_json,
-    rows_at, run_wide_bench, widths_present, WIDE_BENCH_WIDTHS,
+    geomean_opt_speedup, geomean_settle_mlcps, geomean_tape_speedup, render_json, rows_at,
+    run_wide_bench, widths_present, WIDE_BENCH_WIDTHS,
 };
 use pe_harness::{Fanout, Metrics, StderrLines};
 use std::path::PathBuf;
@@ -80,7 +81,7 @@ fn main() {
     let benchmarks = all_benchmarks();
 
     println!(
-        "bit-parallel evaluation — wide engine at {} lanes vs serial vs compiled tape \
+        "bit-parallel evaluation — compiled tape at {} lanes vs serial \
          ({:?} scale, {} job(s))",
         ext.lanes
             .iter()
@@ -91,8 +92,8 @@ fn main() {
         args.jobs
     );
     println!("(each design: 64 seeded testbench shards, lane l replaying shard l%64; every");
-    println!(" lane's waveform digest is verified bit-identical between all engines at every");
-    println!(" width before speedup is reported)");
+    println!(" lane's waveform digest is verified bit-identical to its serial shard at every");
+    println!(" width before speedup is reported; speedups are serial-equivalent)");
     println!();
 
     let progress = StderrLines::new("wide", false);
@@ -107,14 +108,12 @@ fn main() {
     };
 
     println!(
-        "{:<14} {:>9} {:>6} {:>12} {:>12} {:>12} {:>9} {:>9} {:>11} {:>9} {:>12}  digest",
+        "{:<14} {:>9} {:>6} {:>12} {:>12} {:>9} {:>11} {:>9} {:>12}  digest",
         "design",
         "cycles",
         "lanes",
         "serial (s)",
-        "wide (s)",
         "tape (s)",
-        "speedup",
         "tape x",
         "instrs",
         "opt x",
@@ -122,15 +121,12 @@ fn main() {
     );
     for r in &rows {
         println!(
-            "{:<14} {:>9} {:>6} {:>12.4} {:>12.4} {:>12.4} {:>8.1}x {:>8.2}x {:>5}->{:<4} \
-             {:>8.2}x {:>12.1}  {}",
+            "{:<14} {:>9} {:>6} {:>12.4} {:>12.4} {:>8.1}x {:>5}->{:<4} {:>8.1}x {:>12.1}  {}",
             r.design,
             r.cycles,
             r.lanes,
             r.serial_seconds,
-            r.wide_seconds,
             r.tape_seconds,
-            r.speedup,
             r.tape_speedup,
             r.tape_pre_instructions,
             r.tape_post_instructions,
@@ -143,9 +139,8 @@ fn main() {
     for w in widths_present(&rows) {
         let at = rows_at(&rows, w);
         println!(
-            "{w:>4} lanes: geomean speedup {:>6.1}x   tape-over-graph {:>5.2}x   \
-             optimized tape {:>5.2}x   settle phase {:>8.1} Mlane-cycles/s",
-            geomean_speedup(&at),
+            "{w:>4} lanes: geomean speedup over serial: tape {:>6.1}x   optimized tape {:>6.1}x   \
+             settle phase {:>8.1} Mlane-cycles/s",
             geomean_tape_speedup(&at),
             geomean_opt_speedup(&at),
             geomean_settle_mlcps(&at)

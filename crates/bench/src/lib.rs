@@ -12,7 +12,7 @@
 //! * `lint` — the `pe-lint` static soundness gate over the instrumented
 //!   suite (`--deny all` for CI, `--machine` for `key=value` output).
 //! * `trace` — the observability benchmark: per-design power waveforms
-//!   (serial and wide engines, bit-exact integral invariant), flow-stage
+//!   (serial engine and compiled tape, bit-exact integral invariant), flow-stage
 //!   profiling, and measured tracing overhead (`BENCH_trace.json` plus
 //!   one `.waveform` file per design).
 //! * `serve` — the serving benchmark: concurrent clients against the

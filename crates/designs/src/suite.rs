@@ -116,7 +116,7 @@ impl Benchmark {
     }
 
     /// Builds `n` independent workload shards (shards `0..n`), ready to
-    /// occupy the lanes of a [`pe_sim::WideSimulator`] pack.
+    /// occupy the lanes of a wide tape run (`pe_tape::WideTapeSimulator`).
     pub fn testbench_shards(&self, cycles: u64, n: usize) -> Vec<Box<dyn Testbench>> {
         (0..n as u64)
             .map(|s| self.testbench_shard(cycles, s))

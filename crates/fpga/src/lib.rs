@@ -50,6 +50,3 @@ pub mod emulate;
 pub mod lut;
 pub mod partition;
 pub mod timing;
-pub mod wide;
-
-pub use wide::WideLutSimulator;

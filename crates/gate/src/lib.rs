@@ -49,7 +49,5 @@ pub mod cells;
 pub mod expand;
 pub mod netlist;
 mod sim;
-pub mod wide;
 
 pub use sim::GateSimulator;
-pub use wide::WideGateSimulator;

@@ -19,10 +19,11 @@
 //! * [`figure3`] — the paper's evaluation rebuilt on the executor: six
 //!   jobs per benchmark, rows bit-identical to the serial path.
 //! * [`wide`] — the bit-parallel throughput benchmark: 64 testbench
-//!   shards per design through the serial and 64-lane RTL engines, with
-//!   per-lane waveform digests verified before any speedup is reported.
+//!   shards per design through the serial RTL engine and the compiled
+//!   tape at 64/128/256 lanes, with per-lane waveform digests verified
+//!   before any speedup is reported.
 //! * [`trace`] — the observability benchmark: strobe-aligned power
-//!   waveforms from the serial and wide engines (bit-exact integral
+//!   waveforms from the serial engine and the tape (bit-exact integral
 //!   against the energy readback), flow-stage profiling, and measured
 //!   tracing overhead, emitted as `BENCH_trace.json` plus per-design
 //!   waveform files.
@@ -40,49 +41,6 @@ pub mod trace;
 pub mod wide;
 
 pub use cache::{obtain_library, CacheKey, MissReason, ModelCache};
-
-/// Which RTL execution engine a benchmark run uses for its 64-lane
-/// simulation: the graph-walking interpreter in `pe-sim` or the
-/// compiled instruction tape in `pe-tape`. Both produce bit-identical
-/// results (the harness enforces it); they differ only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The event-driven graph interpreter ([`pe_sim::WideSimulator`]).
-    #[default]
-    Graph,
-    /// The compiled instruction tape ([`pe_tape::WideTapeSimulator`]).
-    Tape,
-}
-
-impl Engine {
-    /// The flag spelling (`graph` / `tape`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Engine::Graph => "graph",
-            Engine::Tape => "tape",
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "graph" => Ok(Engine::Graph),
-            "tape" => Ok(Engine::Tape),
-            other => Err(format!(
-                "unknown engine `{other}` (expected `graph` or `tape`)"
-            )),
-        }
-    }
-}
 pub use events::{
     Collector, Event, EventSink, Fanout, Metrics, NullSink, RegistrySink, StderrLines,
 };

@@ -10,7 +10,8 @@
 //!
 //! The serial job runs the canonical testbench twice — once bare, once
 //! with a [`pe_trace::WaveformRecorder`] sampling every strobe boundary
-//! — so the row reports the *measured* cost of tracing. Both the serial
+//! — so the row reports the *measured* cost of tracing. The wide job
+//! runs the compiled [`pe_tape::WideTapeSimulator`]. Both the serial
 //! and the wide lane-0 waveforms must integrate **bit-exactly** to their
 //! engine's cumulative energy readback, and the two waveforms must match
 //! sample-for-sample (the assemble job names the first diverging sample
@@ -18,7 +19,7 @@
 
 use pe_designs::suite::{Benchmark, Scale};
 use pe_instrument::InstrumentedDesign;
-use pe_sim::{Simulator, WideSimulator};
+use pe_sim::Simulator;
 use pe_trace::{CaptureMode, PowerWaveform, Profiler, Registry};
 use pe_util::lanes::LaneWord;
 use std::time::Instant;
@@ -163,82 +164,14 @@ fn untraced_serial_run(
     Ok(seconds)
 }
 
-/// Runs one shard per lane through the wide engine at width `W`,
-/// recording lane 0 (the canonical stimulus) and enforcing the lane-0
-/// integral invariant. Lane 0 runs shard 0 at every width, so the traced
-/// waveform is width-independent by construction — and the assemble job
-/// checks it against the serial waveform to prove it.
+/// Compiles the instrumented design into a [`pe_tape::Tape`] (the
+/// compile is part of the engine's cost), runs one shard per lane
+/// through the [`pe_tape::WideTapeSimulator`] at width `W`, records lane
+/// 0 (the canonical stimulus), and enforces the lane-0 integral
+/// invariant. Lane 0 runs shard 0 at every width, so the traced waveform
+/// is width-independent by construction — and the assemble job checks
+/// it against the serial waveform to prove it.
 fn traced_wide_run<W: LaneWord>(
-    bench: &Benchmark,
-    inst: &InstrumentedDesign,
-    cycles: u64,
-    sample_period: u32,
-    capture: CaptureMode,
-    registry: &Registry,
-) -> Result<PowerWaveform, HarnessError> {
-    let name = bench.name;
-    let mut sim =
-        WideSimulator::<W>::new(&inst.design).map_err(|e| HarnessError::new("wide", name, e))?;
-    let mut tbs = bench.testbench_shards(cycles, W::LANES);
-    let mut rec = inst.waveform_recorder(name, sample_period, capture);
-    let strobe = u64::from(inst.strobe_period.max(1));
-    let offer =
-        |rec: &mut pe_trace::WaveformRecorder, sim: &mut WideSimulator<'_, W>, cycle: u64| {
-            let raw = inst
-                .try_read_raw_totals_lane(sim, 0)
-                .map_err(|e| HarnessError::new("wide", name, e))?;
-            rec.offer(cycle, &raw)
-                .map_err(|e| HarnessError::new("wide", name, e))
-        };
-    offer(&mut rec, &mut sim, 0)?;
-    let mut covered_final = false;
-    for cycle in 0..cycles {
-        for (lane, tb) in tbs.iter_mut().enumerate() {
-            tb.apply(cycle, &mut sim.lane(lane));
-        }
-        for (lane, tb) in tbs.iter_mut().enumerate() {
-            tb.observe(cycle, &mut sim.lane(lane));
-        }
-        sim.step();
-        if (cycle + 1) % strobe == 0 {
-            if rec.wants_next() {
-                offer(&mut rec, &mut sim, cycle + 1)?;
-                covered_final = cycle + 1 == cycles;
-            } else {
-                rec.skip();
-            }
-        }
-    }
-    if !covered_final {
-        offer(&mut rec, &mut sim, cycles)?;
-    }
-    let energy = inst
-        .try_read_energy_fj_lane(&mut sim, 0)
-        .map_err(|e| HarnessError::new("wide", name, e))?;
-    sim.record_metrics(registry);
-    registry.gauge("wide.lane_occupancy").set(1.0);
-    let waveform = rec.finish();
-    if !matches!(capture, CaptureMode::Ring(_)) {
-        let integral = waveform.integral_fj();
-        if integral.to_bits() != energy.to_bits() {
-            return Err(HarnessError::new(
-                "wide",
-                name,
-                format!("lane 0 waveform integral {integral:e} != energy readback {energy:e}"),
-            ));
-        }
-    }
-    Ok(waveform)
-}
-
-/// [`traced_wide_run`] on the compiled instruction tape: compiles the
-/// instrumented design into a [`pe_tape::Tape`] (the compile is part of
-/// the engine's cost), runs one shard per lane through the
-/// [`pe_tape::WideTapeSimulator`] at width `W`, and enforces the same
-/// lane-0 integral invariant. The waveform must be bit-identical to the
-/// graph engine's — the assemble job checks it against the serial
-/// waveform.
-fn traced_wide_run_tape<W: LaneWord>(
     bench: &Benchmark,
     inst: &InstrumentedDesign,
     cycles: u64,
@@ -296,7 +229,7 @@ fn traced_wide_run_tape<W: LaneWord>(
             return Err(HarnessError::new(
                 "wide",
                 name,
-                format!("tape lane 0 waveform integral {integral:e} != energy readback {energy:e}"),
+                format!("lane 0 waveform integral {integral:e} != energy readback {energy:e}"),
             ));
         }
     }
@@ -307,11 +240,10 @@ fn traced_wide_run_tape<W: LaneWord>(
 /// pairs come back in `benchmarks` order. Flow stages are timed into
 /// `profiler`; engine, instrumentation, and job metrics land in
 /// `registry`. Use `workers = 1` when the overhead columns matter.
-/// `engine` picks the executor for the wide job and `lanes` its width
-/// (64, 128, or 256) — the serial baseline always runs on the graph
-/// engine, so a tape or wider-word run doubles as a cross-engine,
-/// cross-width waveform equality check (the assemble job rejects the
-/// first diverging sample).
+/// `lanes` picks the wide job's tape width (64, 128, or 256); the
+/// serial baseline runs on the reference [`Simulator`], so every run
+/// doubles as a cross-engine, cross-width waveform equality check (the
+/// assemble job rejects the first diverging sample).
 ///
 /// # Errors
 ///
@@ -324,7 +256,6 @@ pub fn run_trace_bench(
     flow_factory: FlowFactory<'_>,
     benchmarks: &[Benchmark],
     scale: Scale,
-    engine: crate::Engine,
     lanes: usize,
     sample_period: u32,
     capture: CaptureMode,
@@ -391,11 +322,9 @@ pub fn run_trace_bench(
             let Node::Instrumented(inst) = &*deps[0] else {
                 unreachable!("wide depends on flow")
             };
-            let waveform = profiler.time("run_wide", name, || match (engine, lanes) {
-                (crate::Engine::Graph, 64) => {
-                    traced_wide_run::<u64>(bench, inst, cycles, sample_period, capture, registry)
-                }
-                (crate::Engine::Graph, 128) => traced_wide_run::<[u64; 2]>(
+            let waveform = profiler.time("run_wide", name, || match lanes {
+                64 => traced_wide_run::<u64>(bench, inst, cycles, sample_period, capture, registry),
+                128 => traced_wide_run::<[u64; 2]>(
                     bench,
                     inst,
                     cycles,
@@ -403,31 +332,7 @@ pub fn run_trace_bench(
                     capture,
                     registry,
                 ),
-                (crate::Engine::Graph, _) => traced_wide_run::<[u64; 4]>(
-                    bench,
-                    inst,
-                    cycles,
-                    sample_period,
-                    capture,
-                    registry,
-                ),
-                (crate::Engine::Tape, 64) => traced_wide_run_tape::<u64>(
-                    bench,
-                    inst,
-                    cycles,
-                    sample_period,
-                    capture,
-                    registry,
-                ),
-                (crate::Engine::Tape, 128) => traced_wide_run_tape::<[u64; 2]>(
-                    bench,
-                    inst,
-                    cycles,
-                    sample_period,
-                    capture,
-                    registry,
-                ),
-                (crate::Engine::Tape, _) => traced_wide_run_tape::<[u64; 4]>(
+                _ => traced_wide_run::<[u64; 4]>(
                     bench,
                     inst,
                     cycles,
@@ -538,11 +443,11 @@ fn json_escape(s: &str) -> String {
 /// Renders the benchmark result as the `BENCH_trace.json` document:
 /// per-design rows (sample counts, energies, measured overhead),
 /// per-stage wall-clock from the profiler, and the full metrics
-/// snapshot.
+/// snapshot. The `engine` key names the wide job's substrate, the
+/// compiled tape.
 pub fn render_json(
     rows: &[TraceRow],
     scale: Scale,
-    engine: crate::Engine,
     sample_period: u32,
     profiler: &Profiler,
     registry: &Registry,
@@ -556,7 +461,7 @@ pub fn render_json(
             Scale::Paper => "paper",
         }
     ));
-    out.push_str(&format!("  \"engine\": \"{engine}\",\n"));
+    out.push_str("  \"engine\": \"tape\",\n");
     out.push_str(&format!("  \"sample_period\": {sample_period},\n"));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -611,7 +516,6 @@ mod tests {
             &fast_flow,
             &benches,
             Scale::Test,
-            crate::Engine::Graph,
             64,
             1,
             CaptureMode::Unbounded,
@@ -664,20 +568,18 @@ mod tests {
     }
 
     #[test]
-    fn tape_engine_at_a_wider_word_produces_the_identical_waveform() {
+    fn a_wider_tape_word_produces_the_identical_waveform() {
         let benches = [benchmark("Bubble_Sort").unwrap()];
         let mut digests = Vec::new();
-        // Graph engine at 64 lanes vs tape engine at 128: the traced
-        // lane-0 waveform must be invariant across both the engine and
-        // the lane width.
-        for (engine, lanes) in [(crate::Engine::Graph, 64), (crate::Engine::Tape, 128)] {
+        // The traced lane-0 waveform must be invariant across the lane
+        // width.
+        for lanes in [64, 128] {
             let profiler = Profiler::new();
             let registry = Registry::new();
             let rows = run_trace_bench(
                 &fast_flow,
                 &benches,
                 Scale::Test,
-                engine,
                 lanes,
                 1,
                 CaptureMode::Unbounded,
@@ -689,13 +591,13 @@ mod tests {
             )
             .unwrap();
             // The assemble job already enforced serial == wide
-            // sample-for-sample; keep the digest for the cross-engine
+            // sample-for-sample; keep the digest for the cross-width
             // comparison below.
             digests.push(rows[0].0.digest.clone());
         }
         assert_eq!(
             digests[0], digests[1],
-            "graph@64 and tape@128 must trace bit-identical lane-0 waveforms"
+            "tape@64 and tape@128 must trace bit-identical lane-0 waveforms"
         );
     }
 
@@ -708,7 +610,6 @@ mod tests {
             &fast_flow,
             &benches,
             Scale::Test,
-            crate::Engine::Graph,
             64,
             1,
             CaptureMode::Decimate(32),
@@ -742,14 +643,7 @@ mod tests {
         let profiler = Profiler::new();
         let registry = Registry::new();
         registry.counter("trace.samples_total").add(1201);
-        let doc = render_json(
-            &rows,
-            Scale::Test,
-            crate::Engine::Tape,
-            1,
-            &profiler,
-            &registry,
-        );
+        let doc = render_json(&rows, Scale::Test, 1, &profiler, &registry);
         assert!(doc.contains("\"bench\": \"trace\""));
         assert!(doc.contains("\"engine\": \"tape\""));
         assert!(doc.contains("\"integral_matches_readback\": true"));

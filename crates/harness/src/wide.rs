@@ -1,32 +1,33 @@
 //! The bit-parallel throughput benchmark: 64 testbench shards per design,
 //! run once through the serial RTL engine (lane by lane), then through the
-//! [`pe_sim::WideSimulator`] and the compiled [`pe_tape::WideTapeSimulator`]
+//! compiled [`pe_tape::WideTapeSimulator`] — baseline and optimized tape —
 //! at every requested lane width (64, 128, 256), with waveform digests
 //! proving every execution bit-identical before any speedup is reported.
 //! Lanes beyond 63 replay the 64 shard streams round-robin (lane `l` runs
 //! shard `l % 64`), so one serial baseline verifies every width.
 //!
-//! Per benchmark, one serial job plus three jobs per width on the
+//! Per benchmark, one serial job plus two jobs per width on the
 //! [`crate::executor::JobGraph`]:
 //!
 //! ```text
 //! serial (64 × Simulator) ──┬─► assemble@64  (verify digests, speedups)
-//!   wide@64 ────────────────┤
 //!   tape@64 ────────────────┘
-//!   wide@128 ─── ··· ───────► assemble@128   (same serial digests)
+//!   tape@128 ─── ··· ───────► assemble@128   (same serial digests)
 //!   ...
 //! ```
 //!
 //! The digest covers every output bit of every lane on every cycle,
-//! sampled at the same point of the cycle in all engines, so a single
+//! sampled at the same point of the cycle in every run, so a single
 //! diverging bit anywhere in the run fails the row. Each lane runs a
 //! rotate-XOR accumulator over its output bit stream; the serial engine
-//! computes the chains bit by bit, the wide engines compute all of them
+//! computes the chains bit by bit, the tape computes all of them
 //! *bit-parallel* (one lane-word op folds one output bit of every lane,
 //! exactly as the datapath itself evaluates), and the final accumulator
 //! states are digested with FNV-1a-128. Hashing is thus part of each
 //! engine's natural representation and never dominates what it measures.
 //!
+//! Both speedup columns are serial-equivalent: the 64 serial runs'
+//! wall clock, scaled to the row's lane count, over the tape run's.
 //! Besides the full testbench-driven run (whose wall clock includes the
 //! inherently serial per-lane stimulus loop), every tape job times a
 //! *settle phase*: broadcast fresh inputs, settle, step — the pure
@@ -38,7 +39,7 @@
 
 use pe_designs::suite::{Benchmark, Scale};
 use pe_rtl::SignalId;
-use pe_sim::{Simulator, WideSimulator};
+use pe_sim::Simulator;
 use pe_util::hash::Fnv128;
 use pe_util::lanes::{LaneWord, LANES};
 use std::time::Instant;
@@ -51,31 +52,27 @@ use crate::figure3::HarnessError;
 /// word, two, and four.
 pub const WIDE_BENCH_WIDTHS: [usize; 3] = [64, 128, 256];
 
-/// One design's serial-vs-wide comparison at one lane width.
+/// One design's serial-vs-tape comparison at one lane width.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WideRow {
     /// Design name.
     pub design: String,
     /// Cycles per lane.
     pub cycles: u64,
-    /// Stimulus lanes exercised by the wide engines in this row (64, 128,
+    /// Stimulus lanes exercised by the tape runs in this row (64, 128,
     /// or 256). Lane `l` replays testbench shard `l % 64`.
     pub lanes: usize,
     /// Wall time for the 64 serial single-lane runs, seconds (measured
     /// once per design, shared by every width's row).
     pub serial_seconds: f64,
-    /// Wall time for one `lanes`-wide graph run, seconds (measured).
-    pub wide_seconds: f64,
     /// Wall time for one `lanes`-wide compiled-tape run, seconds
     /// (measured, including `Tape::compile`).
     pub tape_seconds: f64,
-    /// Serial-equivalent speedup: `serial_seconds * (lanes/64) /
-    /// wide_seconds`. A `lanes`-wide run performs `lanes/64` times the
-    /// serial baseline's work (each shard stream is replayed on
-    /// `lanes/64` lanes), so the baseline cost is scaled to match.
-    pub speedup: f64,
-    /// `wide_seconds / tape_seconds` — the compiled tape's advantage
-    /// over the graph wide engine on the same workload.
+    /// Serial-equivalent speedup of the compiled tape:
+    /// `serial_seconds * (lanes/64) / tape_seconds`. A `lanes`-wide run
+    /// performs `lanes/64` times the serial baseline's work (each shard
+    /// stream is replayed on `lanes/64` lanes), so the baseline cost is
+    /// scaled to match.
     pub tape_speedup: f64,
     /// Instructions straight out of `Tape::compile`, before the
     /// optimization pipeline.
@@ -88,8 +85,8 @@ pub struct WideRow {
     /// passes and the translation validator are part of the build cost
     /// the optimized tape must amortize).
     pub opt_seconds: f64,
-    /// `wide_seconds / opt_seconds` — the optimized tape's advantage
-    /// over the graph wide engine on the same workload.
+    /// Serial-equivalent speedup of the optimized tape:
+    /// `serial_seconds * (lanes/64) / opt_seconds`.
     pub opt_speedup: f64,
     /// Wall time of the settle-phase microbench on the *optimized*
     /// compiled tape: `cycles` iterations of broadcast-inputs → settle →
@@ -101,21 +98,24 @@ pub struct WideRow {
     /// backing words.
     pub settle_mlcps: f64,
     /// FNV-1a-128 over the 64 serial lane digests, identical in every
-    /// engine at every width (the row fails otherwise).
+    /// run at every width (the row fails otherwise).
     pub digest: String,
 }
 
-/// The per-engine artifact passed between jobs: one waveform digest per
-/// lane plus the measured wall times (`settle_seconds` is 0 except for
-/// tape jobs, which also run the settle-phase microbench).
+/// The artifact passed between jobs: one waveform digest per lane plus
+/// the measured wall times.
 enum Node {
-    Run {
+    Serial {
+        lane_digests: Vec<u128>,
+        seconds: f64,
+    },
+    Tape {
         lane_digests: Vec<u128>,
         seconds: f64,
         settle_seconds: f64,
-        /// Optimized-tape wall time; 0 except for tape jobs.
+        /// Optimized-tape wall time.
         opt_seconds: f64,
-        /// Certificate instruction counts; 0 except for tape jobs.
+        /// Certificate instruction counts.
         pre_instructions: u64,
         post_instructions: u64,
     },
@@ -142,7 +142,7 @@ fn input_signals(bench: &Benchmark) -> Vec<(SignalId, u32)> {
 
 /// Order-sensitive per-lane waveform checksum: `acc = rotl(acc, 1) ^ bit`
 /// for every output bit in a fixed order (outputs ascending, bits
-/// ascending, cycles ascending). Defined per *bit* so the wide engines can
+/// ascending, cycles ascending). Defined per *bit* so the tape can
 /// fold all lanes' chains with one lane-word op per output bit (see
 /// [`PackChain`]); every engine computes the identical per-lane function.
 #[derive(Clone, Copy)]
@@ -172,9 +172,9 @@ impl LaneChain {
 /// All lanes' [`LaneChain`]s, bit-parallel at any width: plane `j` holds
 /// bit `j` of every lane's accumulator, and the rotate is an index shift,
 /// so folding one output bit of all `W::LANES` lanes is a single lane-word
-/// XOR into the current base plane. This is the digest in the wide
-/// engine's own representation — the slices feed it directly, no
-/// transpose per cycle.
+/// XOR into the current base plane. This is the digest in the tape's own
+/// representation — the settled planes feed it directly, no transpose
+/// per cycle.
 struct PackChain<W: LaneWord> {
     planes: [W; 64],
     off: usize,
@@ -249,7 +249,7 @@ fn lane_testbenches<W: LaneWord>(
 
 /// Runs all shards through the compiled-tape wide engine at width `W`,
 /// digesting every lane's output ports each cycle (same sampling point as
-/// the other paths).
+/// the serial path).
 fn tape_run_digests<W: LaneWord>(
     bench: &Benchmark,
     tape: &pe_tape::Tape,
@@ -257,8 +257,7 @@ fn tape_run_digests<W: LaneWord>(
 ) -> Vec<u128> {
     let mut sim = pe_tape::WideTapeSimulator::<W>::new(tape);
     // Resolve every output bit to its plane index once; per cycle the
-    // digest reads the settled arena directly — the same zero-copy
-    // discipline as the graph path's `slices()` borrow.
+    // digest reads the settled arena directly, with no copy.
     let out_planes: Vec<u32> = output_signals(bench)
         .iter()
         .flat_map(|&(sig, _)| sim.plane_indices(sig).to_vec())
@@ -352,7 +351,7 @@ fn tape_job<W: LaneWord>(bench: &Benchmark, cycles: u64) -> Result<Node, Harness
         ));
     }
     let settle_seconds = settle_phase_seconds::<W>(&opt_tape, &input_signals(bench), cycles);
-    Ok(Node::Run {
+    Ok(Node::Tape {
         lane_digests,
         seconds,
         settle_seconds,
@@ -362,53 +361,19 @@ fn tape_job<W: LaneWord>(bench: &Benchmark, cycles: u64) -> Result<Node, Harness
     })
 }
 
-/// Runs all shards through the graph wide engine at width `W`, digesting
-/// every lane's output ports each cycle (same sampling point as the
-/// serial path).
-fn wide_job<W: LaneWord>(bench: &Benchmark, cycles: u64) -> Result<Node, HarnessError> {
-    let start = Instant::now();
-    let mut sim = WideSimulator::<W>::new(&bench.design)
-        .map_err(|e| HarnessError::new("wide", bench.name, e))?;
-    let outs = output_signals(bench);
-    let mut tbs = lane_testbenches::<W>(bench, cycles);
-    let mut chain = PackChain::<W>::new();
-    for cycle in 0..cycles {
-        for (lane, tb) in tbs.iter_mut().enumerate() {
-            tb.apply(cycle, &mut sim.lane(lane));
-        }
-        for (lane, tb) in tbs.iter_mut().enumerate() {
-            tb.observe(cycle, &mut sim.lane(lane));
-        }
-        for &(sig, _) in &outs {
-            for &plane in sim.slices(sig) {
-                chain.update(plane);
-            }
-        }
-        sim.step();
-    }
-    Ok(Node::Run {
-        lane_digests: chain.digests(cycles),
-        seconds: start.elapsed().as_secs_f64(),
-        settle_seconds: 0.0,
-        opt_seconds: 0.0,
-        pre_instructions: 0,
-        post_instructions: 0,
-    })
-}
-
 /// Stage labels are static per width so progress lines name the width.
-fn stage_names(lanes: usize) -> Result<(&'static str, &'static str, &'static str), String> {
+fn stage_names(lanes: usize) -> Result<(&'static str, &'static str), String> {
     match lanes {
-        64 => Ok(("wide64", "tape64", "assemble64")),
-        128 => Ok(("wide128", "tape128", "assemble128")),
-        256 => Ok(("wide256", "tape256", "assemble256")),
+        64 => Ok(("tape64", "assemble64")),
+        128 => Ok(("tape128", "assemble128")),
+        256 => Ok(("tape256", "assemble256")),
         other => Err(format!(
             "unsupported lane width {other} (expected 64, 128, or 256)"
         )),
     }
 }
 
-/// Runs the serial-vs-wide benchmark as a job graph at every width in
+/// Runs the serial-vs-tape benchmark as a job graph at every width in
 /// `lane_widths`; rows come back in `benchmarks` order, widths in
 /// `lane_widths` order within each design. Use `workers = 1` when the
 /// wall-clock columns matter (overlapping jobs contend for the measured
@@ -418,7 +383,7 @@ fn stage_names(lanes: usize) -> Result<(&'static str, &'static str, &'static str
 ///
 /// Returns the first failing stage in schedule order — including an
 /// `assemble` failure naming the width and the first lane whose waveform
-/// digests diverge between the engines — or an immediate error for a
+/// digest diverges from its serial shard — or an immediate error for a
 /// width outside {64, 128, 256}.
 pub fn run_wide_bench(
     benchmarks: &[Benchmark],
@@ -442,25 +407,14 @@ pub fn run_wide_bench(
             let lane_digests = (0..LANES as u64)
                 .map(|shard| serial_lane_digest(bench, cycles, shard))
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok(Node::Run {
+            Ok(Node::Serial {
                 lane_digests,
                 seconds: start.elapsed().as_secs_f64(),
-                settle_seconds: 0.0,
-                opt_seconds: 0.0,
-                pre_instructions: 0,
-                post_instructions: 0,
             })
         });
 
         for &lanes in lane_widths {
-            let (wide_stage, tape_stage, assemble_stage) =
-                stage_names(lanes).expect("widths validated above");
-
-            let wide = graph.add(wide_stage, name, vec![], move |_| match lanes {
-                64 => wide_job::<u64>(bench, cycles),
-                128 => wide_job::<[u64; 2]>(bench, cycles),
-                _ => wide_job::<[u64; 4]>(bench, cycles),
-            });
+            let (tape_stage, assemble_stage) = stage_names(lanes).expect("widths validated above");
 
             let tape = graph.add(tape_stage, name, vec![], move |_| match lanes {
                 64 => tape_job::<u64>(bench, cycles),
@@ -468,85 +422,63 @@ pub fn run_wide_bench(
                 _ => tape_job::<[u64; 4]>(bench, cycles),
             });
 
-            let row = graph.add(
-                assemble_stage,
-                name,
-                vec![serial, wide, tape],
-                move |deps| {
-                    let Node::Run {
-                        lane_digests: serial_digests,
-                        seconds: serial_seconds,
-                        ..
-                    } = &*deps[0]
-                    else {
-                        unreachable!("assemble depends on serial")
-                    };
-                    let Node::Run {
-                        lane_digests: wide_lane_digests,
-                        seconds: wide_seconds,
-                        ..
-                    } = &*deps[1]
-                    else {
-                        unreachable!("assemble depends on wide")
-                    };
-                    let Node::Run {
-                        lane_digests: tape_lane_digests,
-                        seconds: tape_seconds,
-                        settle_seconds,
-                        opt_seconds,
-                        pre_instructions,
-                        post_instructions,
-                    } = &*deps[2]
-                    else {
-                        unreachable!("assemble depends on tape")
-                    };
-                    // Lane l of a wide run replays shard l % 64 — verify it
-                    // against that shard's serial digest.
-                    for (engine, digests) in
-                        [("wide", wide_lane_digests), ("tape", tape_lane_digests)]
-                    {
-                        if let Some(lane) =
-                            (0..lanes).find(|&l| serial_digests[l % LANES] != digests[l])
-                        {
-                            return Err(HarnessError::new(
-                                "assemble",
-                                name,
-                                format!(
-                                    "width {lanes}: lane {lane} diverges: serial shard {} \
-                                 {:032x} vs {engine} {:032x}",
-                                    lane % LANES,
-                                    serial_digests[lane % LANES],
-                                    digests[lane]
-                                ),
-                            ));
-                        }
-                    }
-                    let mut combined = Fnv128::new();
-                    for d in serial_digests {
-                        combined.update(&d.to_le_bytes());
-                    }
-                    let scale_up = (lanes / LANES) as f64;
-                    Ok(Node::Row(WideRow {
-                        design: name.to_string(),
-                        cycles,
-                        lanes,
-                        serial_seconds: *serial_seconds,
-                        wide_seconds: *wide_seconds,
-                        tape_seconds: *tape_seconds,
-                        speedup: serial_seconds * scale_up / wide_seconds.max(1e-12),
-                        tape_speedup: wide_seconds / tape_seconds.max(1e-12),
-                        tape_pre_instructions: *pre_instructions,
-                        tape_post_instructions: *post_instructions,
-                        opt_seconds: *opt_seconds,
-                        opt_speedup: wide_seconds / opt_seconds.max(1e-12),
-                        settle_seconds: *settle_seconds,
-                        settle_mlcps: (lanes as f64 * cycles as f64)
-                            / settle_seconds.max(1e-12)
-                            / 1e6,
-                        digest: combined.hex(),
-                    }))
-                },
-            );
+            let row = graph.add(assemble_stage, name, vec![serial, tape], move |deps| {
+                let Node::Serial {
+                    lane_digests: serial_digests,
+                    seconds: serial_seconds,
+                } = &*deps[0]
+                else {
+                    unreachable!("assemble depends on serial")
+                };
+                let Node::Tape {
+                    lane_digests: tape_lane_digests,
+                    seconds: tape_seconds,
+                    settle_seconds,
+                    opt_seconds,
+                    pre_instructions,
+                    post_instructions,
+                } = &*deps[1]
+                else {
+                    unreachable!("assemble depends on tape")
+                };
+                // Lane l of a wide run replays shard l % 64 — verify it
+                // against that shard's serial digest.
+                if let Some(lane) =
+                    (0..lanes).find(|&l| serial_digests[l % LANES] != tape_lane_digests[l])
+                {
+                    return Err(HarnessError::new(
+                        "assemble",
+                        name,
+                        format!(
+                            "width {lanes}: lane {lane} diverges: serial shard {} \
+                                 {:032x} vs tape {:032x}",
+                            lane % LANES,
+                            serial_digests[lane % LANES],
+                            tape_lane_digests[lane]
+                        ),
+                    ));
+                }
+                let mut combined = Fnv128::new();
+                for d in serial_digests {
+                    combined.update(&d.to_le_bytes());
+                }
+                let serial_equivalent = serial_seconds * (lanes / LANES) as f64;
+                Ok(Node::Row(WideRow {
+                    design: name.to_string(),
+                    cycles,
+                    lanes,
+                    serial_seconds: *serial_seconds,
+                    tape_seconds: *tape_seconds,
+                    tape_speedup: serial_equivalent / tape_seconds.max(1e-12),
+                    tape_pre_instructions: *pre_instructions,
+                    tape_post_instructions: *post_instructions,
+                    opt_seconds: *opt_seconds,
+                    opt_speedup: serial_equivalent / opt_seconds.max(1e-12),
+                    settle_seconds: *settle_seconds,
+                    settle_mlcps: (lanes as f64 * cycles as f64) / settle_seconds.max(1e-12) / 1e6,
+                    digest: combined.hex(),
+                }))
+            });
             row_jobs.push(row);
         }
     }
@@ -600,20 +532,15 @@ fn geomean(it: impl Iterator<Item = f64>, n: usize) -> f64 {
     (log_sum / n as f64).exp()
 }
 
-/// Geometric mean of the per-row serial-equivalent speedups (0 for no
-/// rows). Pass [`rows_at`] output for a per-width figure.
-pub fn geomean_speedup(rows: &[WideRow]) -> f64 {
-    geomean(rows.iter().map(|r| r.speedup), rows.len())
-}
-
-/// Geometric mean of the per-row optimized-tape-over-graph speedups (0
-/// for no rows).
+/// Geometric mean of the per-row optimized-tape serial-equivalent
+/// speedups (0 for no rows).
 pub fn geomean_opt_speedup(rows: &[WideRow]) -> f64 {
     geomean(rows.iter().map(|r| r.opt_speedup), rows.len())
 }
 
-/// Geometric mean of the per-row tape-over-graph speedups (0 for no
-/// rows).
+/// Geometric mean of the per-row compiled-tape serial-equivalent
+/// speedups (0 for no rows). Pass [`rows_at`] output for a per-width
+/// figure.
 pub fn geomean_tape_speedup(rows: &[WideRow]) -> f64 {
     geomean(rows.iter().map(|r| r.tape_speedup), rows.len())
 }
@@ -655,8 +582,7 @@ pub fn render_json(rows: &[WideRow], scale: Scale) -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"design\": \"{}\", \"cycles\": {}, \"lanes\": {}, \
-             \"serial_seconds\": {:.6}, \"wide_seconds\": {:.6}, \"tape_seconds\": {:.6}, \
-             \"speedup\": {:.3}, \"tape_speedup\": {:.3}, \
+             \"serial_seconds\": {:.6}, \"tape_seconds\": {:.6}, \"tape_speedup\": {:.3}, \
              \"tape_pre_instructions\": {}, \"tape_post_instructions\": {}, \
              \"opt_seconds\": {:.6}, \"opt_speedup\": {:.3}, \"settle_seconds\": {:.6}, \
              \"settle_mlcps\": {:.3}, \"digest\": \"{}\"}}{}\n",
@@ -664,9 +590,7 @@ pub fn render_json(rows: &[WideRow], scale: Scale) -> String {
             r.cycles,
             r.lanes,
             r.serial_seconds,
-            r.wide_seconds,
             r.tape_seconds,
-            r.speedup,
             r.tape_speedup,
             r.tape_pre_instructions,
             r.tape_post_instructions,
@@ -683,10 +607,9 @@ pub fn render_json(rows: &[WideRow], scale: Scale) -> String {
     for (i, &w) in widths.iter().enumerate() {
         let at = rows_at(rows, w);
         out.push_str(&format!(
-            "    {{\"lanes\": {}, \"geomean_speedup\": {:.3}, \"geomean_tape_speedup\": {:.3}, \
+            "    {{\"lanes\": {}, \"geomean_tape_speedup\": {:.3}, \
              \"geomean_opt_speedup\": {:.3}, \"geomean_settle_mlcps\": {:.3}}}{}\n",
             w,
-            geomean_speedup(&at),
             geomean_tape_speedup(&at),
             geomean_opt_speedup(&at),
             geomean_settle_mlcps(&at),
@@ -694,10 +617,6 @@ pub fn render_json(rows: &[WideRow], scale: Scale) -> String {
         ));
     }
     out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"geomean_speedup\": {:.3},\n",
-        geomean_speedup(rows)
-    ));
     out.push_str(&format!(
         "  \"geomean_tape_speedup\": {:.3},\n",
         geomean_tape_speedup(rows)
@@ -728,12 +647,10 @@ mod tests {
             // The digests already passed lane-by-lane verification inside
             // assemble; sanity-check the measured columns are populated.
             assert!(r.serial_seconds > 0.0);
-            assert!(r.wide_seconds > 0.0);
             assert!(r.tape_seconds > 0.0);
             assert!(r.settle_seconds > 0.0);
             assert!(r.settle_mlcps > 0.0);
-            assert!(r.speedup > 1.0, "{lanes}-lane wide should beat serial");
-            assert!(r.tape_speedup > 0.0);
+            assert!(r.tape_speedup > 1.0, "{lanes}-lane tape should beat serial");
             assert!(r.opt_seconds > 0.0);
             assert!(r.opt_speedup > 0.0);
             assert!(r.tape_pre_instructions > 0);
@@ -757,11 +674,11 @@ mod tests {
     }
 
     #[test]
-    fn metrics_count_one_serial_plus_three_jobs_per_width() {
+    fn metrics_count_one_serial_plus_two_jobs_per_width() {
         let benches = [benchmark("HVPeakF").unwrap()];
         let metrics = Metrics::new();
         run_wide_bench(&benches, Scale::Test, 2, &[64, 128], &metrics).unwrap();
-        assert_eq!(metrics.jobs_finished(), 7);
+        assert_eq!(metrics.jobs_finished(), 5);
         assert_eq!(metrics.jobs_failed(), 0);
     }
 
@@ -771,10 +688,8 @@ mod tests {
             cycles: 1200,
             lanes,
             serial_seconds: 1.0,
-            wide_seconds: 0.05,
             tape_seconds: 0.02,
-            speedup,
-            tape_speedup: speedup / 2.0,
+            tape_speedup: speedup,
             tape_pre_instructions: 395,
             tape_post_instructions: 386,
             opt_seconds: 0.015,
@@ -814,10 +729,8 @@ mod tests {
             cycles: 1,
             lanes: 64,
             serial_seconds: s,
-            wide_seconds: 1.0,
             tape_seconds: 1.0,
-            speedup: s,
-            tape_speedup: s / 2.0,
+            tape_speedup: s,
             tape_pre_instructions: 10,
             tape_post_instructions: 9,
             opt_seconds: 1.0,
@@ -827,18 +740,16 @@ mod tests {
             digest: String::new(),
         };
         let rows = vec![mk(4.0), mk(16.0)];
-        assert!((geomean_speedup(&rows) - 8.0).abs() < 1e-9);
-        assert!((geomean_tape_speedup(&rows) - 4.0).abs() < 1e-9);
+        assert!((geomean_tape_speedup(&rows) - 8.0).abs() < 1e-9);
         assert!((geomean_opt_speedup(&rows) - 2.0).abs() < 1e-9);
         assert_eq!(geomean_opt_speedup(&[]), 0.0);
         assert!((geomean_settle_mlcps(&rows) - 80.0).abs() < 1e-9);
-        assert_eq!(geomean_speedup(&[]), 0.0);
         assert_eq!(geomean_tape_speedup(&[]), 0.0);
         assert_eq!(geomean_settle_mlcps(&[]), 0.0);
 
         let mixed = vec![row(64, 4.0), row(128, 16.0)];
         assert_eq!(widths_present(&mixed), vec![64, 128]);
         assert_eq!(rows_at(&mixed, 128).len(), 1);
-        assert!((geomean_speedup(&rows_at(&mixed, 128)) - 16.0).abs() < 1e-9);
+        assert!((geomean_tape_speedup(&rows_at(&mixed, 128)) - 16.0).abs() < 1e-9);
     }
 }

@@ -951,12 +951,28 @@ mod tests {
         assert!(errors[2] < 0.01, "16-bit error {:.4}", errors[2]);
     }
 
+    /// A [`WideControl`] whose lanes are independent serial simulators:
+    /// the lane-readout contract a bit-parallel engine must meet, without
+    /// depending on one (the tape is checked against it in the workspace
+    /// differential suite).
+    struct SerialLanes<'d>(Vec<Simulator<'d>>);
+
+    impl WideControl for SerialLanes<'_> {
+        fn try_output_lane(&mut self, name: &str, lane: usize) -> Result<u64, PortError> {
+            self.0[lane].try_output(name)
+        }
+
+        fn lanes(&self) -> usize {
+            self.0.len()
+        }
+    }
+
     #[test]
     fn wide_lanes_read_back_serial_energy() {
-        // Instrumented design with an input: each lane of a wide run gets
-        // its own stimulus, and each lane's accumulator readback must equal
-        // a serial run of that stimulus exactly (integer accumulators, so
-        // the f64 conversion is deterministic).
+        // Instrumented design with an input: each lane gets its own
+        // stimulus, and each lane's readback through the per-lane path
+        // must equal the serial readback of that lane exactly (integer
+        // accumulators, so the f64 conversion is deterministic).
         let mut b = DesignBuilder::new("laned");
         let clk = b.clock("clk");
         let x = b.input("x", 8);
@@ -968,33 +984,29 @@ mod tests {
         let lib = library_for(&d);
         let inst = instrument(&d, &lib, &InstrumentConfig::default()).unwrap();
 
-        let mut wide = pe_sim::WideSimulator::<u64>::new(&inst.design).unwrap();
-        let mut serials: Vec<Simulator<'_>> = (0..64)
-            .map(|_| Simulator::new(&inst.design).unwrap())
-            .collect();
+        let mut lanes = SerialLanes(
+            (0..64)
+                .map(|_| Simulator::new(&inst.design).unwrap())
+                .collect(),
+        );
         let x_id = inst.design.find_input("x").unwrap();
         let mut rng = pe_util::rng::Xoshiro::new(0x51DE);
         for _ in 0..100 {
-            for (lane, s) in serials.iter_mut().enumerate() {
-                let v = rng.bits(8);
-                wide.set_input_lane(x_id, lane, v);
-                s.set_input(x_id, v);
-            }
-            wide.step();
-            for s in serials.iter_mut() {
+            for s in lanes.0.iter_mut() {
+                s.set_input(x_id, rng.bits(8));
                 s.step();
             }
         }
-        for (lane, s) in serials.iter_mut().enumerate() {
-            let serial_e = inst.read_energy_fj(s);
-            let wide_e = inst.read_energy_fj_lane(&mut wide, lane);
+        for lane in 0..lanes.lanes() {
+            let lane_e = inst.read_energy_fj_lane(&mut lanes, lane);
+            let serial_e = inst.read_energy_fj(&mut lanes.0[lane]);
             assert_eq!(
-                wide_e.to_bits(),
+                lane_e.to_bits(),
                 serial_e.to_bits(),
-                "lane {lane}: wide {wide_e} vs serial {serial_e}"
+                "lane {lane}: per-lane {lane_e} vs serial {serial_e}"
             );
         }
-        assert!(inst.read_energy_fj_lane(&mut wide, 0) > 0.0);
+        assert!(inst.read_energy_fj_lane(&mut lanes, 0) > 0.0);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use pe_rtl::{Component, ComponentKind, Design};
 use pe_util::bits;
-use pe_util::lanes::{LaneWord, MAX_LANES};
 use std::fmt;
 
 /// Identifies a component *class* for model lookup: the kind (including
@@ -297,65 +296,6 @@ impl Macromodel {
         energy
     }
 
-    /// Evaluates the model for all of a lane word's lanes at once from
-    /// bit-sliced signal values: `prev[i]`/`curr[i]` hold one
-    /// [`LaneWord`] per bit of monitored signal `i` (lane `l` of word
-    /// `b` = bit `b` of lane `l`'s value, the [`pe_util::lanes`]
-    /// packing), and `energies[l]` receives lane `l`'s energy for the
-    /// cycle.
-    ///
-    /// One XOR word op detects a bit's transitions across all
-    /// `W::LANES` lanes; each set lane then gates that bit's
-    /// coefficient into the lane's accumulator. Coefficients are added
-    /// in the same order as [`Macromodel::eval_fj`] (signals ascending,
-    /// bits ascending), and per-signal models multiply the lane's
-    /// Hamming count exactly as the serial path does, so every lane's
-    /// result is bit-identical to a serial evaluation — at any width.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the slice shapes do not match the layout, or
-    /// (always) if `energies.len() != W::LANES`.
-    pub fn eval_packed_fj<W: LaneWord>(&self, prev: &[&[W]], curr: &[&[W]], energies: &mut [f64]) {
-        debug_assert_eq!(prev.len(), self.layout.signal_count());
-        debug_assert_eq!(curr.len(), self.layout.signal_count());
-        assert_eq!(
-            energies.len(),
-            W::LANES,
-            "energies slice must have one slot per lane"
-        );
-        energies.fill(self.base_fj);
-        match self.form {
-            ModelForm::Constant => {}
-            ModelForm::PerSignal => {
-                let mut counts = [0u32; MAX_LANES];
-                let counts = &mut counts[..W::LANES];
-                for i in 0..prev.len() {
-                    debug_assert_eq!(prev[i].len(), self.layout.width(i) as usize);
-                    counts.fill(0);
-                    for b in 0..self.layout.width(i) as usize {
-                        let t = prev[i][b].xor(curr[i][b]);
-                        t.for_each_lane(|l| counts[l] += 1);
-                    }
-                    for (e, &c) in energies.iter_mut().zip(counts.iter()) {
-                        *e += self.coeffs[i] * c as f64;
-                    }
-                }
-            }
-            ModelForm::PerBit => {
-                for i in 0..prev.len() {
-                    debug_assert_eq!(prev[i].len(), self.layout.width(i) as usize);
-                    let offset = self.layout.offset(i) as usize;
-                    for b in 0..self.layout.width(i) as usize {
-                        let t = prev[i][b].xor(curr[i][b]);
-                        let coeff = self.coeffs[offset + b];
-                        t.for_each_lane(|l| energies[l] += coeff);
-                    }
-                }
-            }
-        }
-    }
-
     /// Sum of all coefficients — the model's maximum activity-dependent
     /// energy per cycle; used for fixed-point range planning during
     /// instrumentation.
@@ -469,69 +409,6 @@ mod tests {
         assert_eq!(m.bit_coeff(3), 1.0);
         assert_eq!(m.bit_coeff(4), 2.0);
         assert_eq!(m.bit_coeff(11), 3.0);
-    }
-
-    fn packed_eval_matches_serial<W: LaneWord>() {
-        use pe_util::lanes::pack;
-        use pe_util::rng::Xoshiro;
-        let layout = MonitoredLayout::of(&key_add4());
-        let models = [
-            Macromodel::new(
-                ModelForm::PerBit,
-                3.25,
-                (0..12).map(|i| 0.1 * i as f64 + 0.7).collect(),
-                layout.clone(),
-            ),
-            Macromodel::new(
-                ModelForm::PerSignal,
-                1.5,
-                vec![0.3, 0.9, 1.7],
-                layout.clone(),
-            ),
-            Macromodel::new(ModelForm::Constant, 7.5, vec![], layout.clone()),
-        ];
-        let mut rng = Xoshiro::new(0xBEEF);
-        // W::LANES lanes of (prev, curr) per monitored signal.
-        let prev_lanes: Vec<Vec<u64>> = (0..3)
-            .map(|_| (0..W::LANES).map(|_| rng.bits(4)).collect())
-            .collect();
-        let curr_lanes: Vec<Vec<u64>> = (0..3)
-            .map(|_| (0..W::LANES).map(|_| rng.bits(4)).collect())
-            .collect();
-        let pack_sig = |lanes: &Vec<u64>| {
-            let mut slices = vec![W::zero(); 4];
-            pack::<W>(lanes, 4, &mut slices);
-            slices
-        };
-        let prev_slices: Vec<Vec<W>> = prev_lanes.iter().map(pack_sig).collect();
-        let curr_slices: Vec<Vec<W>> = curr_lanes.iter().map(pack_sig).collect();
-        let prev_refs: Vec<&[W]> = prev_slices.iter().map(|s| s.as_slice()).collect();
-        let curr_refs: Vec<&[W]> = curr_slices.iter().map(|s| s.as_slice()).collect();
-        for m in &models {
-            let mut packed = vec![0.0f64; W::LANES];
-            m.eval_packed_fj(&prev_refs, &curr_refs, &mut packed);
-            for lane in 0..W::LANES {
-                let prev: Vec<u64> = prev_lanes.iter().map(|l| l[lane]).collect();
-                let curr: Vec<u64> = curr_lanes.iter().map(|l| l[lane]).collect();
-                let serial = m.eval_fj(&prev, &curr);
-                assert_eq!(
-                    packed[lane].to_bits(),
-                    serial.to_bits(),
-                    "{} lanes {} lane {lane}: packed {} vs serial {serial}",
-                    m.form(),
-                    W::LANES,
-                    packed[lane]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn packed_eval_matches_serial_on_every_lane_at_every_width() {
-        packed_eval_matches_serial::<bool>();
-        packed_eval_matches_serial::<u64>();
-        packed_eval_matches_serial::<[u64; 2]>();
-        packed_eval_matches_serial::<[u64; 4]>();
     }
 
     #[test]

@@ -9,13 +9,16 @@
 //! `key=value` events dialect.
 //!
 //! The headline is the scheduler ([`sched`]): pending requests for the
-//! same (design, model) are packed — up to 64 at a time, round-robin
-//! across clients — into one [`pe_sim::WideSimulator`] run, and each
-//! lane's `read_energy_fj_lane` readout is demultiplexed back to its
-//! client. The wide engine's lanes are bit-independent, so a batched
-//! answer is bit-identical to a serial run of the same job; batching
-//! buys the bit-parallel throughput (BENCH_wide.json: ~11x over 64
-//! serial runs) without changing a single result bit. Model resolution
+//! same (design, model) are packed — up to 128 at a time by default
+//! (256 at most), round-robin across clients — into one
+//! [`pe_tape::WideTapeSimulator`] run on the group's prepared,
+//! translation-validated instruction tape, and each lane's
+//! `read_energy_fj_lane` readout is demultiplexed back to its client.
+//! A design whose tape does not compile or validate is refused at
+//! admission (`tape_unverified`). The tape's lanes are bit-independent,
+//! so a batched answer is bit-identical to a serial run of the same
+//! job; batching buys the bit-parallel throughput (see
+//! `BENCH_wide.json`) without changing a single result bit. Model resolution
 //! goes through the shared content-addressed `ModelLibrary` cache
 //! (multi-tenant, size-capped LRU), with hit/miss counters and all
 //! serving metrics in a [`pe_trace::Registry`].

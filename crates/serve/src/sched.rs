@@ -7,11 +7,15 @@
 //! others — and demultiplex the per-lane energy readouts back to each
 //! job's response channel. The engine width follows the batch: up to 64
 //! jobs run on the `u64` lane word, up to 128 on `[u64; 2]`, up to 256
-//! on `[u64; 4]` — same core, wider registers. Because the wide
-//! engine's lanes are bit-independent of each other (PR 3's differential
-//! suite, now swept over every width), a lane's readout is bit-identical
-//! to what a serial `read_energy_fj` run of the same (design, stimulus,
-//! cycles) would produce: batching changes throughput, never answers.
+//! on `[u64; 4]` — same core, wider registers. Every batch runs on the
+//! group's prepared, translation-validated instruction tape; a group
+//! whose tape does not compile or does not validate is refused at
+//! admission (`tape_unverified`), never simulated some other way.
+//! Because the tape's lanes are bit-independent of each other (the
+//! width-sweep differential suite checks every width against the serial
+//! oracle), a lane's readout is bit-identical to what a serial
+//! `read_energy_fj` run of the same (design, stimulus, cycles) would
+//! produce: batching changes throughput, never answers.
 //!
 //! Backpressure is explicit: the pending queue is bounded by
 //! [`ServeConfig::queue_cap`], and a submit over the cap gets a
@@ -26,7 +30,6 @@ use pe_harness::{obtain_library, ModelCache, RegistrySink};
 use pe_instrument::InstrumentedDesign;
 use pe_lint::{lint_instrumented, Denylist, LintReport};
 use pe_power::CharacterizeConfig;
-use pe_sim::WideSimulator;
 use pe_trace::Registry;
 use pe_util::lanes::{LaneWord, MAX_LANES};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -151,16 +154,32 @@ struct PreparedDesign {
     report: LintReport,
     /// The instrumented design compiled into an optimized instruction
     /// tape, built once per group so every batch skips straight to
-    /// simulator construction. `None` when the tape compiler rejects
-    /// the design — those batches fall back to the graph engine (and
-    /// admission usually rejects such designs anyway).
-    tape: Option<pe_tape::Tape>,
+    /// simulator construction. The only engine batches run on.
+    tape: pe_tape::Tape,
     /// The translation-validation certificate for `tape`: netlist and
     /// IR digests, per-pass instruction deltas, and whether the
     /// optimized tape was proven equivalent to the source netlist.
-    /// Admission refuses to serve a group whose tape compiled but
-    /// carries `validated: false` (`tape_unverified`).
-    certificate: Option<pe_tape::TapeCertificate>,
+    /// Admission refuses to serve a group whose certificate carries
+    /// `validated: false` (`tape_unverified`).
+    certificate: pe_tape::TapeCertificate,
+}
+
+/// Why a (design, model) group cannot be served at all, decided once
+/// when the group is prepared: the structured code every submit of the
+/// group is refused with, and a message naming the cause.
+#[derive(Debug, Clone)]
+struct Refusal {
+    code: ErrorCode,
+    message: String,
+}
+
+impl Refusal {
+    fn internal(message: String) -> Self {
+        Refusal {
+            code: ErrorCode::Internal,
+            message,
+        }
+    }
 }
 
 impl PreparedDesign {
@@ -194,12 +213,11 @@ impl PreparedDesign {
     }
 
     /// Why this design's tape must not be trusted, if the translation
-    /// validator failed to certify it. A group whose tape compiled but
-    /// was not proven equivalent to its netlist is refused outright —
-    /// falling back to the graph engine would silently serve a design
-    /// the verification pipeline flagged.
+    /// validator failed to certify it. The tape is the only engine, so
+    /// a group whose tape was not proven equivalent to its netlist is
+    /// refused outright.
     fn tape_unverified_error(&self) -> Option<String> {
-        let cert = self.certificate.as_ref()?;
+        let cert = &self.certificate;
         if cert.validated {
             return None;
         }
@@ -220,7 +238,7 @@ struct Shared {
     idle: Condvar,
     registry: Registry,
     /// In-memory prepare results (success or failure) per group.
-    prepared: Mutex<HashMap<GroupKey, Arc<Result<PreparedDesign, String>>>>,
+    prepared: Mutex<HashMap<GroupKey, Arc<Result<PreparedDesign, Refusal>>>>,
 }
 
 /// A worker panic would poison the state mutex and take the whole
@@ -316,12 +334,15 @@ impl Scheduler {
             model: req.model,
         };
         match prepared(shared, &key).as_ref() {
-            Err(msg) => {
+            Err(refusal) => {
+                if refusal.code == ErrorCode::TapeUnverified {
+                    shared.registry.counter("serve.tape_unverified").inc();
+                }
                 shared.registry.counter("serve.requests_failed").inc();
                 reply(Response::Error {
                     req: Some(req.id),
-                    code: ErrorCode::Internal,
-                    message: msg.clone(),
+                    code: refusal.code,
+                    message: refusal.message.clone(),
                 });
                 return;
             }
@@ -580,7 +601,7 @@ fn run_batch(shared: &Shared, batch_id: u64, key: &GroupKey, jobs: Vec<Job>) -> 
     let prep = prepared(shared, key);
     let outcome = match prep.as_ref() {
         Ok(prep) => run_wide(prep, &jobs),
-        Err(msg) => Err(msg.clone()),
+        Err(refusal) => Err(refusal.message.clone()),
     };
     let mut delivered = 0;
     match outcome {
@@ -643,7 +664,7 @@ fn run_batch(shared: &Shared, batch_id: u64, key: &GroupKey, jobs: Vec<Job>) -> 
 /// the map lock through a build serializes first-touch prepares across
 /// workers — deliberate, so concurrent cold batches of the same design
 /// characterize once, not twice.
-fn prepared(shared: &Shared, key: &GroupKey) -> Arc<Result<PreparedDesign, String>> {
+fn prepared(shared: &Shared, key: &GroupKey) -> Arc<Result<PreparedDesign, Refusal>> {
     let mut map = shared
         .prepared
         .lock()
@@ -658,9 +679,9 @@ fn prepared(shared: &Shared, key: &GroupKey) -> Arc<Result<PreparedDesign, Strin
     built
 }
 
-fn build_prepared(shared: &Shared, key: &GroupKey) -> Result<PreparedDesign, String> {
+fn build_prepared(shared: &Shared, key: &GroupKey) -> Result<PreparedDesign, Refusal> {
     let bench = benchmark_or_defect(&key.design)
-        .ok_or_else(|| format!("design `{}` is not in the suite", key.design))?;
+        .ok_or_else(|| Refusal::internal(format!("design `{}` is not in the suite", key.design)))?;
     let config = match key.model {
         ModelChoice::Fast => CharacterizeConfig::fast(),
         ModelChoice::Standard => CharacterizeConfig::standard(),
@@ -674,22 +695,16 @@ fn build_prepared(shared: &Shared, key: &GroupKey) -> Result<PreparedDesign, Str
         bench.name,
         &sink,
     )
-    .map_err(|e| format!("characterize failed: {e}"))?;
+    .map_err(|e| Refusal::internal(format!("characterize failed: {e}")))?;
     // Instrument directly rather than through `stage_instrument`: the
     // flow's built-in lint gate would turn an unsound design into an
     // opaque `internal` failure, but admission owns that decision — the
     // report is kept so `submit` can answer `unsound_design` with the
     // findings.
     let inst = pe_instrument::instrument(&bench.design, &library, flow.instrument_config())
-        .map_err(|e| format!("instrument failed: {e}"))?;
+        .map_err(|e| Refusal::internal(format!("instrument failed: {e}")))?;
     let report = lint_instrumented(&inst, None);
-    let (tape, certificate) = match pe_tape::Tape::compile_optimized(&inst.design) {
-        Ok((tape, certificate)) => (Some(tape), Some(certificate)),
-        Err(_) => {
-            shared.registry.counter("serve.tape_fallbacks").inc();
-            (None, None)
-        }
-    };
+    let (tape, certificate) = compile_tape(&inst.design)?;
     Ok(PreparedDesign {
         bench,
         inst,
@@ -699,16 +714,37 @@ fn build_prepared(shared: &Shared, key: &GroupKey) -> Result<PreparedDesign, Str
     })
 }
 
-/// Runs one packed batch on the wide engine at the narrowest lane width
-/// that fits it — the group's prepared instruction tape when it
-/// compiled, the graph interpreter otherwise. Lane `l` executes job
-/// `l`'s testbench shard for exactly its requested cycles; the batch
-/// steps to the longest request, and each lane's energy is read at its
-/// own cycle boundary — the accumulator state there is bit-identical to
-/// a serial run of the same length, because lanes never interact (and
-/// the tape is bit-identical to the graph engine by construction,
-/// enforced by the width-sweep differential suite).
+/// Compiles, optimizes, and translation-validates a group's tape. A
+/// design the tape compiler rejects cannot be served — there is no
+/// other engine to run it on — so the failure is refused with the same
+/// `tape_unverified` code as a tape that fails validation, naming the
+/// compiler's diagnosis.
+fn compile_tape(
+    design: &pe_rtl::Design,
+) -> Result<(pe_tape::Tape, pe_tape::TapeCertificate), Refusal> {
+    pe_tape::Tape::compile_optimized(design).map_err(|e| Refusal {
+        code: ErrorCode::TapeUnverified,
+        message: format!(
+            "tape for design `{}` failed to compile ({}): {e}",
+            design.name(),
+            e.rule()
+        ),
+    })
+}
+
+/// Runs one packed batch on the group's validated instruction tape at
+/// the narrowest lane width that fits it. Lane `l` executes job `l`'s
+/// testbench shard for exactly its requested cycles; the batch steps to
+/// the longest request, and each lane's energy is read at its own cycle
+/// boundary — the accumulator state there is bit-identical to a serial
+/// run of the same length, because lanes never interact (enforced
+/// against the serial oracle by the width-sweep differential suite).
 fn run_wide(prep: &PreparedDesign, jobs: &[Job]) -> Result<Vec<f64>, String> {
+    // Admission already refuses unverified tapes; this guard keeps the
+    // batch path honest even if a future caller skips admission.
+    if let Some(msg) = prep.tape_unverified_error() {
+        return Err(msg);
+    }
     match lane_width_for(jobs.len()) {
         64 => run_wide_at::<u64>(prep, jobs),
         128 => run_wide_at::<[u64; 2]>(prep, jobs),
@@ -723,56 +759,25 @@ fn run_wide_at<W: LaneWord>(prep: &PreparedDesign, jobs: &[Job]) -> Result<Vec<f
         .collect();
     let max_cycles = jobs.iter().map(|j| j.req.cycles).max().unwrap_or(0);
     let mut energies = vec![0.0f64; jobs.len()];
-    // Admission already refuses unverified tapes; this guard keeps the
-    // batch path honest even if a future caller skips admission.
-    let verified_tape = prep
-        .tape
-        .as_ref()
-        .filter(|_| prep.certificate.as_ref().is_some_and(|c| c.validated));
-    if let Some(tape) = verified_tape {
-        let mut sim = pe_tape::WideTapeSimulator::<W>::new(tape);
-        for cycle in 0..max_cycles {
-            for (lane, tb) in tbs.iter_mut().enumerate() {
-                if cycle < jobs[lane].req.cycles {
-                    tb.apply(cycle, &mut sim.lane(lane));
-                }
-            }
-            for (lane, tb) in tbs.iter_mut().enumerate() {
-                if cycle < jobs[lane].req.cycles {
-                    tb.observe(cycle, &mut sim.lane(lane));
-                }
-            }
-            sim.step();
-            for (lane, job) in jobs.iter().enumerate() {
-                if cycle + 1 == job.req.cycles {
-                    energies[lane] = prep
-                        .inst
-                        .try_read_energy_fj_lane(&mut sim, lane)
-                        .map_err(|e| e.to_string())?;
-                }
+    let mut sim = pe_tape::WideTapeSimulator::<W>::new(&prep.tape);
+    for cycle in 0..max_cycles {
+        for (lane, tb) in tbs.iter_mut().enumerate() {
+            if cycle < jobs[lane].req.cycles {
+                tb.apply(cycle, &mut sim.lane(lane));
             }
         }
-    } else {
-        let mut sim = WideSimulator::<W>::new(&prep.inst.design).map_err(|e| e.to_string())?;
-        for cycle in 0..max_cycles {
-            for (lane, tb) in tbs.iter_mut().enumerate() {
-                if cycle < jobs[lane].req.cycles {
-                    tb.apply(cycle, &mut sim.lane(lane));
-                }
+        for (lane, tb) in tbs.iter_mut().enumerate() {
+            if cycle < jobs[lane].req.cycles {
+                tb.observe(cycle, &mut sim.lane(lane));
             }
-            for (lane, tb) in tbs.iter_mut().enumerate() {
-                if cycle < jobs[lane].req.cycles {
-                    tb.observe(cycle, &mut sim.lane(lane));
-                }
-            }
-            sim.step();
-            for (lane, job) in jobs.iter().enumerate() {
-                if cycle + 1 == job.req.cycles {
-                    energies[lane] = prep
-                        .inst
-                        .try_read_energy_fj_lane(&mut sim, lane)
-                        .map_err(|e| e.to_string())?;
-                }
+        }
+        sim.step();
+        for (lane, job) in jobs.iter().enumerate() {
+            if cycle + 1 == job.req.cycles {
+                energies[lane] = prep
+                    .inst
+                    .try_read_energy_fj_lane(&mut sim, lane)
+                    .map_err(|e| e.to_string())?;
             }
         }
     }
@@ -847,11 +852,9 @@ mod tests {
         };
         // Build the real prepared design, then doctor its certificate to
         // simulate a tape the translation validator refused to certify.
-        let mut prep = build_prepared(&sched.shared, &key).expect("prepare succeeds");
-        let cert = prep
-            .certificate
-            .as_mut()
-            .expect("suite design has a certificate");
+        let mut prep = build_prepared(&sched.shared, &key)
+            .unwrap_or_else(|r| panic!("prepare succeeds: {}", r.message));
+        let cert = &mut prep.certificate;
         assert!(cert.validated, "suite design should certify cleanly");
         cert.validated = false;
         cert.reason = Some("signal-mismatch: doctored for test".to_string());
@@ -869,6 +872,49 @@ mod tests {
         assert_eq!(code, ErrorCode::TapeUnverified);
         assert!(message.contains("translation validation"), "{message}");
         assert_eq!(sched.registry().counter("serve.tape_unverified").get(), 1);
+        assert_eq!(sched.pending(), 0);
+    }
+
+    #[test]
+    fn tape_compile_failure_is_refused_at_admission() {
+        let sched = paused(8);
+        // Instrumentation validates the netlist first, so no served
+        // design reaches the tape compiler structurally broken: compile
+        // a broken netlist directly and memoize its refusal the way
+        // `prepared` would.
+        let design = pe_designs::defects::structural_defect_design("Defect_Comb_Cycle")
+            .expect("structural defect exists");
+        let refusal = compile_tape(&design)
+            .map(|_| ())
+            .expect_err("a combinational cycle must not compile");
+        assert_eq!(refusal.code, ErrorCode::TapeUnverified);
+        assert!(
+            refusal.message.contains("comb-cycle"),
+            "{}",
+            refusal.message
+        );
+        let key = GroupKey {
+            design: "Bubble_Sort".to_string(),
+            model: ModelChoice::Fast,
+        };
+        sched
+            .shared
+            .prepared
+            .lock()
+            .unwrap()
+            .insert(key, Arc::new(Err(refusal)));
+        let (tx, rx) = mpsc::channel();
+        sched.submit(submit_req("c0", "Bubble_Sort", 10, 0), 1, &tx);
+        let Response::Error { code, message, .. } = rx.try_recv().unwrap() else {
+            panic!("expected error");
+        };
+        assert_eq!(code, ErrorCode::TapeUnverified);
+        assert!(
+            message.contains("failed to compile (comb-cycle)"),
+            "{message}"
+        );
+        assert_eq!(sched.registry().counter("serve.tape_unverified").get(), 1);
+        assert_eq!(sched.registry().counter("serve.requests_failed").get(), 1);
         assert_eq!(sched.pending(), 0);
     }
 

@@ -14,11 +14,12 @@
 //! * [`Testbench`] and [`run`] — the driver abstraction shared by the
 //!   software power estimators, the emulation flow, and functional tests,
 //!   built on [`SimControl`] so the same testbench drives a serial
-//!   simulator or one lane of a 64-wide pack.
-//! * [`wide::WideSimulator`] — bit-parallel evaluation: 64 independent
-//!   stimulus vectors packed into `u64` lanes per signal bit, advanced
-//!   with word-wide logic ops (the paper's evaluate-everything-at-once
-//!   datapath, in software).
+//!   simulator or one lane of a bit-parallel engine.
+//! * [`WideControl`] — the per-lane observation surface a bit-parallel
+//!   engine exposes. The one such engine is the compiled instruction
+//!   tape in `pe-tape`; this crate's [`Simulator`] is the serial
+//!   reference oracle it is translation-validated and differentially
+//!   tested against.
 //! * [`activity::ActivityRecorder`] — per-signal toggle counting (switching
 //!   activity), the quantity that both gate-level power analysis and the
 //!   paper's macromodels consume.
@@ -53,8 +54,6 @@ pub mod activity;
 mod engine;
 pub mod testbench;
 pub mod waveform;
-pub mod wide;
 
 pub use engine::Simulator;
 pub use testbench::{run, ConstInputs, SimControl, Testbench, VectorTestbench, WideControl};
-pub use wide::{run_lanes, WideLane, WideSimulator};

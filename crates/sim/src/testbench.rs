@@ -8,11 +8,11 @@ use std::collections::HashMap;
 
 /// The control surface a [`Testbench`] drives.
 ///
-/// Both the serial [`Simulator`] and a single lane of the bit-parallel
-/// [`crate::wide::WideSimulator`] implement this trait, so the *same*
-/// testbench object can stimulate a lone simulation or one lane of a
-/// 64-wide pack — the differential-testing contract is that the two are
-/// indistinguishable through this interface.
+/// Both the serial [`Simulator`] and a single lane of a bit-parallel
+/// engine (the compiled tape in `pe-tape`) implement this trait, so the
+/// *same* testbench object can stimulate a lone simulation or one lane
+/// of a wide pack — the differential-testing contract is that the two
+/// are indistinguishable through this interface.
 pub trait SimControl {
     /// Number of clock edges stepped so far.
     fn cycle(&self) -> u64;
@@ -65,11 +65,10 @@ pub trait SimControl {
 
 /// The per-lane observation surface a lane-word engine exposes.
 ///
-/// Both [`crate::wide::WideSimulator`] and any drop-in wide engine (the
-/// compiled-tape interpreter in `pe-tape`) implement this trait at every
-/// [`pe_util::lanes::LaneWord`] width, so lane-indexed readouts —
+/// The compiled-tape interpreter in `pe-tape` implements this trait at
+/// every [`pe_util::lanes::LaneWord`] width, so lane-indexed readouts —
 /// instrumented energy accumulators, waveform strobes, serve-side result
-/// gathers — are written once and run on any engine at any width.
+/// gathers — are written once against the trait and run at any width.
 pub trait WideControl {
     /// Current value of a named output port in one lane.
     ///
@@ -84,16 +83,6 @@ pub trait WideControl {
 
     /// Number of lanes this engine instantiation evaluates per pass.
     fn lanes(&self) -> usize;
-}
-
-impl<W: pe_util::lanes::LaneWord> WideControl for crate::wide::WideSimulator<'_, W> {
-    fn try_output_lane(&mut self, name: &str, lane: usize) -> Result<u64, PortError> {
-        crate::wide::WideSimulator::try_output_lane(self, name, lane)
-    }
-
-    fn lanes(&self) -> usize {
-        W::LANES
-    }
 }
 
 impl SimControl for Simulator<'_> {

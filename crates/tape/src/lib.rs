@@ -1,10 +1,11 @@
 //! # pe-tape — compiled instruction-tape simulation
 //!
-//! The graph engines in `pe-sim` re-traverse the netlist every settle
-//! pass: each combinational component is fetched from the design, its
-//! kind matched, and its operands gathered through `SignalId`
-//! indirection. This crate does what the Berkeley Emulation Engine does
-//! for netlists in hardware — compile the design **once** into a flat,
+//! The workspace's one bit-parallel engine. The serial reference
+//! simulator in `pe-sim` re-traverses the netlist every settle pass:
+//! each combinational component is fetched from the design, its kind
+//! matched, and its operands gathered through `SignalId` indirection.
+//! This crate does what the Berkeley Emulation Engine does for
+//! netlists in hardware — compile the design **once** into a flat,
 //! cache-friendly instruction tape and interpret that instead:
 //!
 //! * [`Tape::compile`] validates the design (the same diagnosed
@@ -13,17 +14,18 @@
 //!   cone, constant-folds cones whose inputs are all constants, and
 //!   lowers the remainder to dense instructions with pre-resolved
 //!   operand indices — no per-cycle graph walks, no `HashMap` lookups.
+//!   [`Tape::compile_optimized`] adds the verified pass pipeline and a
+//!   translation-validation [`TapeCertificate`] against the netlist.
 //! * [`WideTapeSimulator`] interprets the program over a plane arena of
 //!   [`pe_util::lanes::LaneWord`]s — generic from 1 (`bool`) through 64
 //!   (`u64`) to 128/256 (`[u64; 2]`/`[u64; 4]`) lanes; the compiled
 //!   program is width-independent. The compiler additionally *elides*
 //!   wiring at compile time: slices, concatenations, zero/sign
 //!   extensions, constant-amount shifts, and constant-select muxes
-//!   become plane aliases that cost nothing per cycle (the graph engine
-//!   runs full barrel stages for a constant shift), and out-of-width
+//!   become plane aliases that cost nothing per cycle, and out-of-width
 //!   operand reads resolve to a reserved all-zero plane, eliminating
-//!   the width branch from the hot loop. Bit-identical to
-//!   [`pe_sim::WideSimulator`], lane for lane.
+//!   the width branch from the hot loop. Each lane is bit-identical to
+//!   a serial [`pe_sim::Simulator`] run of that lane's stimulus.
 //! * [`TapeSimulator`] is the serial engine: a thin wrapper fixing the
 //!   wide interpreter at one lane (`bool` lane word), bit-identical to
 //!   [`pe_sim::Simulator`] — there is no duplicated serial interpreter
@@ -31,8 +33,8 @@
 //!
 //! A [`Tape`] owns its whole program (it does not borrow the
 //! [`Design`]), so it can be memoized and shared — `pe-serve` keeps one
-//! per prepared design and constructs fresh interpreters per batch at a
-//! fraction of a `WideSimulator`'s build cost.
+//! validated tape per prepared design and constructs a fresh
+//! interpreter per batch for the cost of an arena allocation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +50,7 @@ pub use verify::{
     validate_against, PassStat, TapeCertificate, ValidateError, WfError, DEFAULT_PROBE_CYCLES,
     DEFAULT_PROBE_ROUNDS, MISCOMPILE_MUTATIONS,
 };
-pub use wide::{run_lanes, TapeLane, WideTapeSimulator};
+pub use wide::{TapeLane, WideTapeSimulator};
 
 use pe_rtl::{Design, DesignError};
 use pe_util::hash::Fnv128;

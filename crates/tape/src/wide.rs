@@ -5,11 +5,10 @@
 //! lane word, so one core covers 1 (`bool`, the serial engine), 64
 //! (`u64`), 128 (`[u64; 2]`), and 256 (`[u64; 4]`) lanes; the compiled
 //! program itself is width-independent — plane counts and instruction
-//! streams are identical at every width. Unlike the graph engine's
-//! bit-slice
-//! arena (one contiguous slot per signal), the tape compiler maps each
-//! signal to an arbitrary list of planes, which turns all pure wiring
-//! into compile-time aliasing:
+//! streams are identical at every width. Rather than giving each signal
+//! one contiguous slot, the tape compiler maps each signal to an
+//! arbitrary list of planes, which turns all pure wiring into
+//! compile-time aliasing:
 //!
 //! * `Slice` = a subrange of the source's plane map,
 //! * `ZeroExt` = the source map padded with the reserved all-zero plane,
@@ -19,19 +18,17 @@
 //! * constant-select muxes = the selected leg's map,
 //! * constant-folded cones = the reserved all-zero / all-one planes.
 //!
-//! None of these cost anything per cycle — the graph engine runs a full
-//! barrel-shifter stage chain even when the amount is a constant.
-//! Instructions read operands through *pools* of pre-resolved plane
+//! None of these cost anything per cycle. Instructions read operands through *pools* of pre-resolved plane
 //! indices padded to the exact read width with the zero plane, so the
 //! interpreter's inner loops have no width branches at all.
 //!
-//! Per-lane semantics are bit-identical to [`pe_sim::WideSimulator`]
-//! (and therefore to the serial engine): the differential suite
-//! enforces it lane for lane, cycle for cycle.
+//! Per-lane semantics are bit-identical to the serial reference
+//! [`pe_sim::Simulator`]: the translation validator and the width-sweep
+//! differential suite enforce it lane for lane, cycle for cycle.
 
 use crate::Tape;
 use pe_rtl::{ClockId, ComponentKind, Design, SignalId};
-use pe_sim::{SimControl, Testbench};
+use pe_sim::SimControl;
 use pe_util::lanes::{LaneWord, MAX_LANES};
 use pe_util::{bits, PortError};
 
@@ -225,8 +222,7 @@ pub(crate) struct WReg {
     pub init: u64,
 }
 
-/// A compiled memory. State is `state[word * LANES + lane]`, exactly
-/// the graph engine's layout.
+/// A compiled memory. State is `state[word * LANES + lane]`.
 #[derive(Debug, Clone)]
 pub(crate) struct WMem {
     pub raddr: u32,
@@ -246,10 +242,9 @@ pub(crate) struct WMem {
 
 /// A top-level input port. Ports are packed into *stage groups* of up
 /// to 64 bits: drives store per-port lane values (a plain compare-and-
-/// store, like the graph engine's), and a dirty group merges its ports
-/// into one packed word per lane at settle — paying **one** 64×64
-/// transpose per settle for all its ports, where the graph engine
-/// transposes per port.
+/// store), and a dirty group merges its ports into one packed word per
+/// lane at settle — paying **one** 64×64 transpose per settle for all
+/// its ports rather than one per port.
 #[derive(Debug, Clone)]
 pub(crate) struct WStagedPort {
     pub name: String,
@@ -542,8 +537,8 @@ pub(crate) fn compile_wide(
                 }
             }
             ComponentKind::Mul => {
-                // Wider operand drives the partial-product loop (ties
-                // resolve like the graph engine: `in0 <= in1` picks in1).
+                // Wider operand drives the partial-product loop (ties:
+                // `in0 <= in1` picks in1).
                 let (wa, nb, nbw) = if in_w[0] <= in_w[1] {
                     (ins[1], ins[0], in_w[0])
                 } else {
@@ -805,14 +800,14 @@ pub(crate) fn compile_wide(
     p
 }
 
-/// Pending per-memory capture, mirroring the graph engine's commit
-/// ordering.
+/// Pending per-memory capture: every capture lands before any commit,
+/// as in the serial engine.
 type MemCapture = (u32, Vec<u64>);
 type MemWrite<W> = (usize, Vec<u64>, Vec<u64>, W);
 
-/// Lane-word interpreter over a compiled [`Tape`] — the drop-in
-/// counterpart of [`pe_sim::WideSimulator`], bit-identical per lane at
-/// every [`LaneWord`] width. `W = bool` is the serial engine (wrapped
+/// Lane-word interpreter over a compiled [`Tape`] — the workspace's
+/// bit-parallel engine, each lane bit-identical to a serial
+/// [`pe_sim::Simulator`] run at every [`LaneWord`] width. `W = bool` is the serial engine (wrapped
 /// by [`crate::TapeSimulator`]), `u64` the classic 64-lane pack,
 /// `[u64; 2]` / `[u64; 4]` the 128- and 256-lane packs.
 #[derive(Debug)]
@@ -850,9 +845,9 @@ pub struct WideTapeSimulator<'t, W: LaneWord = u64> {
 }
 
 impl<'t, W: LaneWord> WideTapeSimulator<'t, W> {
-    /// Builds an interpreter with every lane at power-on state. Cheap
-    /// relative to `WideSimulator::new`: no validation, no topological
-    /// sort, no per-component lowering — just arena allocation.
+    /// Builds an interpreter with every lane at power-on state. Cheap:
+    /// validation, topological sort, and per-component lowering were
+    /// paid once by the compile, so this is just arena allocation.
     pub fn new(tape: &'t Tape) -> Self {
         let p = &tape.wide;
         let mut sim = Self {
@@ -920,8 +915,7 @@ impl<'t, W: LaneWord> WideTapeSimulator<'t, W> {
     }
 
     /// Observes run counters into `registry` (`sim.wide_cycles`,
-    /// `sim.wide_settle_passes` — the graph engine's histograms, so
-    /// dashboards are engine-agnostic).
+    /// `sim.wide_settle_passes` histograms).
     pub fn record_metrics(&self, registry: &pe_trace::Registry) {
         registry.histogram("sim.wide_cycles").observe(self.cycle);
         registry
@@ -1484,9 +1478,7 @@ impl<'t, W: LaneWord> WideTapeSimulator<'t, W> {
 
     /// Settles and returns the whole plane arena — the zero-copy read
     /// path for per-cycle digesting. Pair with
-    /// [`WideTapeSimulator::plane_indices`] to locate a signal's bits;
-    /// this is the tape counterpart of the graph engine's `slices()`
-    /// borrow.
+    /// [`WideTapeSimulator::plane_indices`] to locate a signal's bits.
     pub fn settled_planes(&mut self) -> &[W] {
         self.settle();
         &self.planes
@@ -1506,9 +1498,8 @@ impl<'t, W: LaneWord> WideTapeSimulator<'t, W> {
 
     /// Settles and copies the bit planes of `signal` into `out`
     /// (`out[i]` = bit `i` across all lanes). The tape's aliasing
-    /// means a signal's planes are not generally contiguous, so this
-    /// replaces the graph engine's `slices()` borrow for packed
-    /// digesting and transition detection.
+    /// means a signal's planes are not generally contiguous, so packed
+    /// digesting and transition detection copy them out through here.
     ///
     /// # Panics
     ///
@@ -1539,7 +1530,7 @@ impl<'t, W: LaneWord> WideTapeSimulator<'t, W> {
         let p = &self.tape.wide;
         // Capture phase (registers into scratch, memories into lane
         // buffers), then commit — simultaneous edges, exactly as the
-        // graph engine.
+        // serial engine.
         for reg in &p.regs {
             if only.is_some_and(|c| c != reg.clock) {
                 continue;
@@ -1704,7 +1695,7 @@ impl<'t, W: LaneWord> WideTapeSimulator<'t, W> {
     }
 
     /// A [`SimControl`] view of one lane, for driving with an
-    /// unmodified [`Testbench`].
+    /// unmodified [`pe_sim::Testbench`].
     ///
     /// # Panics
     ///
@@ -1726,7 +1717,7 @@ impl<W: LaneWord> pe_sim::WideControl for WideTapeSimulator<'_, W> {
 }
 
 /// One lane of a [`WideTapeSimulator`], exposed through [`SimControl`]
-/// so a [`Testbench`] written for the serial engine can drive it
+/// so a [`pe_sim::Testbench`] written for the serial engine can drive it
 /// unchanged.
 #[derive(Debug)]
 pub struct TapeLane<'s, 't, W: LaneWord = u64> {
@@ -1754,39 +1745,6 @@ impl<W: LaneWord> SimControl for TapeLane<'_, '_, W> {
     fn value(&mut self, signal: SignalId) -> u64 {
         self.sim.value_lane(signal, self.lane)
     }
-}
-
-/// Runs up to `W::LANES` testbenches in lock-step, one per lane — the
-/// tape counterpart of [`pe_sim::run_lanes`].
-///
-/// # Panics
-///
-/// Panics if more than `W::LANES` testbenches are supplied.
-pub fn run_lanes<W: LaneWord>(
-    sim: &mut WideTapeSimulator<'_, W>,
-    tbs: &mut [Box<dyn Testbench>],
-) -> u64 {
-    assert!(
-        tbs.len() <= W::LANES,
-        "at most {} lanes, got {}",
-        W::LANES,
-        tbs.len()
-    );
-    let cycles = tbs.iter().map(|t| t.cycles()).max().unwrap_or(0);
-    for cycle in 0..cycles {
-        for (lane, tb) in tbs.iter_mut().enumerate() {
-            if cycle < tb.cycles() {
-                tb.apply(cycle, &mut sim.lane(lane));
-            }
-        }
-        for (lane, tb) in tbs.iter_mut().enumerate() {
-            if cycle < tb.cycles() {
-                tb.observe(cycle, &mut sim.lane(lane));
-            }
-        }
-        sim.step();
-    }
-    cycles
 }
 
 /// All-lanes mask of pooled operands `a == b` over `w` bits.

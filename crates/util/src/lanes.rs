@@ -1,14 +1,14 @@
 //! Lane-word bit-slicing primitives for bit-parallel simulation.
 //!
-//! The bit-parallel engines ([`pe-sim`'s wide simulator and friends]) store
-//! one *lane word* per signal bit: lane `l` of slice `i` holds bit `i` of
+//! The bit-parallel engine (the compiled tape in `pe-tape`) stores one
+//! *lane word* per signal bit: lane `l` of slice `i` holds bit `i` of
 //! the value observed by lane `l`. Independent stimulus vectors (testbench
 //! shards, strobe windows, or serve-batch jobs) then advance through the
 //! netlist with plain word-wide AND/OR/XOR/NOT — the software analogue of
 //! the paper's "evaluate everything at once" FPGA datapath.
 //!
-//! The lane count is a type parameter, not a constant: every wide engine is
-//! generic over a [`LaneWord`], so one core covers
+//! The lane count is a type parameter, not a constant: the tape is generic
+//! over a [`LaneWord`], so one core covers
 //!
 //! * `bool` — a single lane; serial simulation is the 1-lane instantiation
 //!   of the wide core, with no duplicated interpreter;
@@ -83,7 +83,7 @@ pub trait LaneWord: Copy + PartialEq + Eq + std::fmt::Debug + Send + Sync + 'sta
         self.and(other.not())
     }
     /// Per-lane select: lane `l` of the result is `t`'s lane where `m` is
-    /// set, else `f`'s. The wide engines' mux/enable blend.
+    /// set, else `f`'s. The tape's mux/enable blend.
     #[inline]
     fn blend(m: Self, t: Self, f: Self) -> Self {
         t.and(m).or(f.andn(m))

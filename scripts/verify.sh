@@ -54,14 +54,10 @@ grep -q '"opt_seconds"' "$scratch/BENCH_wide.json"
 grep -q '"opt_speedup"' "$scratch/BENCH_wide.json"
 grep -q '"geomean_opt_speedup"' "$scratch/BENCH_wide.json"
 
-echo "== trace bench smoke (waveform integral invariant, BENCH_trace.json)"
+echo "== trace bench smoke (waveform integral invariant, serial vs tape waveform equality, BENCH_trace.json)"
 cargo run -p pe-bench --release --offline --bin trace -- --scale test --jobs 2 \
   --out "$scratch/BENCH_trace.json" --waveform-dir "$scratch/waveforms"
-
-echo "== trace bench smoke on the tape engine (cross-engine waveform equality)"
-cargo run -p pe-bench --release --offline --bin trace -- --scale test --jobs 2 \
-  --engine tape --out "$scratch/BENCH_trace_tape.json" --waveform-dir "$scratch/waveforms_tape"
-grep -q '"engine": "tape"' "$scratch/BENCH_trace_tape.json"
+grep -q '"engine": "tape"' "$scratch/BENCH_trace.json"
 
 echo "== lint gate with tape certificates (--deny all --machine --tape) vs locked fixture"
 cargo run -p pe-bench --release --offline --quiet --bin lint -- \

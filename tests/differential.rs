@@ -1,19 +1,16 @@
-//! Differential testing of the bit-parallel lane-word engines against
-//! every serial engine in the workspace, at every supported width.
+//! Differential testing of the workspace's one bit-parallel engine — the
+//! compiled instruction tape — against the serial reference
+//! [`Simulator`] on what the output-level matrix in
+//! `tests/tape_differential.rs` does not see, at 1, 64, 128, and 256
+//! lanes:
 //!
-//! The wide simulators claim lane-for-lane bit-identical semantics with
-//! their serial counterparts at 1, 64, 128, and 256 lanes; this suite
-//! enforces the claim on the full seven-design benchmark suite with
-//! seeded per-lane stimulus shards:
-//!
-//! * wide RTL vs fresh serial RTL runs (every output, every cycle, at
-//!   every lane width);
-//! * wide gate-level and wide LUT-level vs the wide RTL engine
-//!   (cross-substrate, all lanes at once, at every width);
-//! * gate-level switching energy per lane vs serial runs (bit-exact
-//!   f64, at every width);
-//! * instrumented `read_energy_fj` per lane vs serial instrumented runs
-//!   (at every width).
+//! * wide RTL vs fresh serial RTL runs on the *full internal state*:
+//!   every component-driven signal (registers, memories' read ports,
+//!   every combinational net), on spot lanes, every cycle, for the whole
+//!   seven-design suite;
+//! * instrumented `read_energy_fj` per lane on the *optimized*,
+//!   translation-validated tape — the program the server runs — vs
+//!   serial instrumented runs.
 //!
 //! Cycle budgets scale down with lane width so each width instantiation
 //! does comparable total work. Every assertion names the design,
@@ -21,17 +18,13 @@
 //! straight at the divergence.
 
 use pe_util::lanes::LaneWord;
-use power_emulation::designs::suite::{all_benchmarks, benchmark, Benchmark, Scale};
-use power_emulation::fpga::lut::map_to_luts;
-use power_emulation::fpga::WideLutSimulator;
-use power_emulation::gate::cells::CellLibrary;
-use power_emulation::gate::expand::expand_design;
-use power_emulation::gate::{GateSimulator, WideGateSimulator};
-use power_emulation::sim::{Simulator, WideSimulator};
+use power_emulation::designs::suite::{all_benchmarks, benchmark, Scale};
+use power_emulation::sim::Simulator;
+use power_emulation::tape::{Tape, WideTapeSimulator};
 
-/// Cycles compared per design (the gate/LUT expansions of MPEG4 are the
-/// expensive ones), scaled down for the wider lane words so each width
-/// costs roughly the same wall clock.
+/// Cycles compared per design (MPEG4 is the expensive one), scaled down
+/// for the wider lane words so each width costs roughly the same wall
+/// clock.
 fn budget(name: &str, lanes: usize) -> u64 {
     let base = match name {
         "MPEG4" => 250,
@@ -48,58 +41,55 @@ fn spot_lanes(lanes: usize) -> Vec<usize> {
     spots
 }
 
-/// The design's output ports as `(name, signal)` pairs.
-fn outputs(bench: &Benchmark) -> Vec<(String, power_emulation::rtl::SignalId)> {
-    bench
-        .design
-        .outputs()
-        .iter()
-        .map(|p| (p.name().to_string(), p.signal()))
-        .collect()
-}
-
-/// Input ports as `(name, signal)` pairs.
-fn inputs(bench: &Benchmark) -> Vec<(String, power_emulation::rtl::SignalId)> {
-    bench
-        .design
-        .inputs()
-        .iter()
-        .map(|p| (p.name().to_string(), p.signal()))
-        .collect()
-}
-
-/// Every lane of the wide RTL engine reproduces a fresh serial RTL run
-/// of the same stimulus shard, output for output, cycle for cycle.
+/// Every spot lane of the wide tape reproduces a fresh serial RTL run of
+/// the same stimulus shard on every component-driven signal, cycle for
+/// cycle — not only the outputs: the compiler's operand aliasing and
+/// constant folding must leave every net readable with its true value.
 fn wide_rtl_matches_serial_rtl_at<W: LaneWord>() {
     for bench in all_benchmarks() {
         let cycles = budget(bench.name, W::LANES).min(bench.cycles(Scale::Test));
-        let outs = outputs(&bench);
+        let nets: Vec<_> = bench
+            .design
+            .components()
+            .iter()
+            .map(|c| (c.name().to_string(), c.output()))
+            .collect();
+        let tape = Tape::compile(&bench.design).expect("tape compiles");
 
-        let mut wide = WideSimulator::<W>::new(&bench.design).expect("wide sim");
-        let mut serials: Vec<Simulator<'_>> = (0..W::LANES)
+        let mut wide = WideTapeSimulator::<W>::new(&tape);
+        let mut wide_tbs = bench.testbench_shards(cycles, W::LANES);
+        let spots = spot_lanes(W::LANES);
+        let mut serials: Vec<Simulator<'_>> = spots
+            .iter()
             .map(|_| Simulator::new(&bench.design).expect("serial sim"))
             .collect();
-        let mut wide_tbs = bench.testbench_shards(cycles, W::LANES);
-        let mut serial_tbs = bench.testbench_shards(cycles, W::LANES);
+        let mut serial_tbs: Vec<_> = spots
+            .iter()
+            .map(|&lane| bench.testbench_shard(cycles, lane as u64))
+            .collect();
 
         for cycle in 0..cycles {
-            for lane in 0..W::LANES {
-                wide_tbs[lane].apply(cycle, &mut wide.lane(lane));
-                serial_tbs[lane].apply(cycle, &mut serials[lane]);
+            for (lane, tb) in wide_tbs.iter_mut().enumerate() {
+                tb.apply(cycle, &mut wide.lane(lane));
             }
-            for lane in 0..W::LANES {
-                wide_tbs[lane].observe(cycle, &mut wide.lane(lane));
-                serial_tbs[lane].observe(cycle, &mut serials[lane]);
+            for (si, tb) in serial_tbs.iter_mut().enumerate() {
+                tb.apply(cycle, &mut serials[si]);
             }
-            for (name, sig) in &outs {
-                for (lane, serial) in serials.iter_mut().enumerate() {
+            for (lane, tb) in wide_tbs.iter_mut().enumerate() {
+                tb.observe(cycle, &mut wide.lane(lane));
+            }
+            for (si, tb) in serial_tbs.iter_mut().enumerate() {
+                tb.observe(cycle, &mut serials[si]);
+            }
+            for (net, sig) in &nets {
+                for (si, &lane) in spots.iter().enumerate() {
                     let got = wide.value_lane(*sig, lane);
-                    let want = serial.value(*sig);
+                    let want = serials[si].value(*sig);
                     assert_eq!(
                         got,
                         want,
-                        "{}::{name} diverged: width {}, lane {lane}, first at cycle {cycle} \
-                         (wide {got:#x}, serial {want:#x})",
+                        "{}: net driven by `{net}` diverged: width {}, lane {lane}, \
+                         first at cycle {cycle} (wide {got:#x}, serial {want:#x})",
                         bench.name,
                         W::LANES
                     );
@@ -133,170 +123,9 @@ fn wide_rtl_matches_serial_rtl_at_256_lanes() {
     wide_rtl_matches_serial_rtl_at::<[u64; 4]>();
 }
 
-/// The wide gate-level and wide LUT-level engines agree with the wide
-/// RTL engine on every lane of the suite workloads (the synthesis path
-/// preserves behaviour lane-for-lane, not just for one stimulus).
-fn wide_gate_and_lut_match_wide_rtl_at<W: LaneWord>() {
-    let cells = CellLibrary::cmos130();
-    for bench in all_benchmarks() {
-        let cycles = budget(bench.name, W::LANES).min(bench.cycles(Scale::Test)) / 2;
-        let expanded = expand_design(&bench.design);
-        let mapped = map_to_luts(&expanded.netlist);
-        let ins = inputs(&bench);
-        let outs = outputs(&bench);
-
-        let mut rtl = WideSimulator::<W>::new(&bench.design).expect("wide rtl");
-        let mut gate = WideGateSimulator::<W>::new(&expanded, &cells);
-        let mut lut = WideLutSimulator::<W>::new(&mapped);
-        let mut tbs = bench.testbench_shards(cycles, W::LANES);
-
-        for cycle in 0..cycles {
-            for (lane, tb) in tbs.iter_mut().enumerate() {
-                tb.apply(cycle, &mut rtl.lane(lane));
-                tb.observe(cycle, &mut rtl.lane(lane));
-            }
-            // Mirror the settled RTL input lanes into the other engines.
-            for (name, sig) in &ins {
-                for lane in 0..W::LANES {
-                    let v = rtl.value_lane(*sig, lane);
-                    gate.set_input_lane(name, lane, v);
-                    lut.set_input_lane(name, lane, v);
-                }
-            }
-            for (name, sig) in &outs {
-                for lane in 0..W::LANES {
-                    let want = rtl.value_lane(*sig, lane);
-                    let got_gate = gate.output_lane(name, lane);
-                    assert_eq!(
-                        got_gate,
-                        want,
-                        "{}::{name} diverged at gate level: width {}, lane {lane}, \
-                         first at cycle {cycle}",
-                        bench.name,
-                        W::LANES
-                    );
-                    let got_lut = lut.output_lane(name, lane);
-                    assert_eq!(
-                        got_lut,
-                        want,
-                        "{}::{name} diverged at LUT level: width {}, lane {lane}, \
-                         first at cycle {cycle}",
-                        bench.name,
-                        W::LANES
-                    );
-                }
-            }
-            rtl.step();
-            gate.step();
-            lut.step();
-        }
-    }
-}
-
-#[test]
-fn wide_gate_and_wide_lut_match_wide_rtl_at_1_lane() {
-    wide_gate_and_lut_match_wide_rtl_at::<bool>();
-}
-
-#[test]
-fn wide_gate_and_wide_lut_match_wide_rtl_at_64_lanes() {
-    wide_gate_and_lut_match_wide_rtl_at::<u64>();
-}
-
-#[test]
-fn wide_gate_and_wide_lut_match_wide_rtl_at_128_lanes() {
-    wide_gate_and_lut_match_wide_rtl_at::<[u64; 2]>();
-}
-
-#[test]
-fn wide_gate_and_wide_lut_match_wide_rtl_at_256_lanes() {
-    wide_gate_and_lut_match_wide_rtl_at::<[u64; 4]>();
-}
-
-/// The wide gate engine's per-lane switching energy is bit-exactly the
-/// serial gate engine's, checked on spot lanes across three designs.
-fn wide_gate_energy_is_bit_exact_at<W: LaneWord>() {
-    let cells = CellLibrary::cmos130();
-    for name in ["Bubble_Sort", "Vld", "DCT"] {
-        let bench = benchmark(name).unwrap();
-        let cycles = 200 / (W::LANES as u64 / 64).max(1);
-        let expanded = expand_design(&bench.design);
-        let ins = inputs(&bench);
-
-        let mut wide = WideGateSimulator::<W>::new(&expanded, &cells);
-        let mut tbs = bench.testbench_shards(cycles, W::LANES);
-        // Reference inputs per lane come from serial RTL shard runs.
-        let spots = spot_lanes(W::LANES);
-        let mut serial_gates: Vec<GateSimulator<'_>> = spots
-            .iter()
-            .map(|_| GateSimulator::new(&expanded, &cells))
-            .collect();
-        let mut rtl = WideSimulator::<W>::new(&bench.design).expect("wide rtl");
-
-        for cycle in 0..cycles {
-            for (lane, tb) in tbs.iter_mut().enumerate() {
-                tb.apply(cycle, &mut rtl.lane(lane));
-                tb.observe(cycle, &mut rtl.lane(lane));
-            }
-            for (pname, sig) in &ins {
-                for lane in 0..W::LANES {
-                    let v = rtl.value_lane(*sig, lane);
-                    wide.set_input_lane(pname, lane, v);
-                }
-                for (si, &lane) in spots.iter().enumerate() {
-                    serial_gates[si]
-                        .try_set_input(pname, rtl.value_lane(*sig, lane))
-                        .unwrap();
-                }
-            }
-            rtl.step();
-            wide.step();
-            for (si, &lane) in spots.iter().enumerate() {
-                serial_gates[si].step();
-                let got = wide.last_cycle_energy_fj_lane(lane);
-                let want = serial_gates[si].last_cycle_energy_fj();
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "{name} gate energy diverged: width {}, lane {lane}, \
-                     first at cycle {cycle} (wide {got} fJ, serial {want} fJ)",
-                    W::LANES
-                );
-            }
-        }
-        for (si, &lane) in spots.iter().enumerate() {
-            assert_eq!(
-                wide.total_energy_fj_lane(lane).to_bits(),
-                serial_gates[si].total_energy_fj().to_bits(),
-                "{name} total gate energy diverged: width {}, lane {lane}",
-                W::LANES
-            );
-        }
-    }
-}
-
-#[test]
-fn wide_gate_energy_is_bit_exact_at_1_lane() {
-    wide_gate_energy_is_bit_exact_at::<bool>();
-}
-
-#[test]
-fn wide_gate_energy_is_bit_exact_at_64_lanes() {
-    wide_gate_energy_is_bit_exact_at::<u64>();
-}
-
-#[test]
-fn wide_gate_energy_is_bit_exact_at_128_lanes() {
-    wide_gate_energy_is_bit_exact_at::<[u64; 2]>();
-}
-
-#[test]
-fn wide_gate_energy_is_bit_exact_at_256_lanes() {
-    wide_gate_energy_is_bit_exact_at::<[u64; 4]>();
-}
-
 /// The instrumented design's hardware energy readout is bit-exactly
-/// equal per lane between a wide run and fresh serial runs.
+/// equal per lane between a run on the optimized, certified tape (what
+/// a served batch runs) and fresh serial runs.
 fn instrumented_readout_matches_at<W: LaneWord>() {
     use power_emulation::core::PowerEmulationFlow;
     use power_emulation::power::CharacterizeConfig;
@@ -307,8 +136,15 @@ fn instrumented_readout_matches_at<W: LaneWord>() {
         let flow = PowerEmulationFlow::new().with_characterize(CharacterizeConfig::fast());
         flow.prepare_models(&bench.design).expect("characterize");
         let (instrumented, _) = flow.stage_instrument(&bench.design).expect("instrument");
+        let (tape, cert) =
+            Tape::compile_optimized(&instrumented.design).expect("instrumented tape compiles");
+        assert!(
+            cert.validated,
+            "{name}: optimized instrumented tape failed translation validation: {:?}",
+            cert.reason
+        );
 
-        let mut wide = WideSimulator::<W>::new(&instrumented.design).expect("wide sim");
+        let mut wide = WideTapeSimulator::<W>::new(&tape);
         let mut serials: Vec<Simulator<'_>> = (0..W::LANES)
             .map(|_| Simulator::new(&instrumented.design).expect("serial sim"))
             .collect();
@@ -334,7 +170,7 @@ fn instrumented_readout_matches_at<W: LaneWord>() {
                     got.to_bits(),
                     want.to_bits(),
                     "{name} instrumented energy diverged: width {}, lane {lane}, \
-                     first at cycle {cycle} (wide {got} fJ, serial {want} fJ)",
+                     first at cycle {cycle} (optimized tape {got} fJ, serial {want} fJ)",
                     W::LANES
                 );
             }

@@ -11,7 +11,7 @@
 //! * the bit-exact gate-level switching energy total over a 200-cycle
 //!   prefix (an `f64::to_bits` hex, so any rounding drift is caught);
 //! * the compiled-tape engine's full-run waveform digest (asserted
-//!   equal to the graph engine's at regeneration time, so cross-engine
+//!   equal to the serial RTL engine's at regeneration time, so cross-engine
 //!   bit-exactness is locked into the repo) and the tape's instruction
 //!   and plane counts — a compiler change that alters how a suite
 //!   design lowers shows up as a reviewable fixture diff;
@@ -70,7 +70,7 @@ struct Fixture {
     gate_cycles: u64,
     gate_energy_fj_bits: u64,
     /// Full-run output waveform digest of the compiled-tape serial
-    /// engine — must equal the graph engine's final checkpoint, so the
+    /// engine — must equal the serial RTL engine's final checkpoint, so the
     /// fixture locks cross-engine bit-exactness into the repo.
     tape_waveform_fnv128: String,
     /// Locked instruction and plane counts of the compiled tape: a
@@ -344,7 +344,7 @@ fn regenerate(bench: &Benchmark, cells: &CellLibrary) -> Fixture {
     let (_, full) = checkpoints.last().expect("at least one checkpoint");
     assert_eq!(
         &tape_waveform_fnv128, full,
-        "{}: tape engine waveform diverged from the graph engine",
+        "{}: tape engine waveform diverged from the serial RTL engine",
         bench.name
     );
     let (opt_tape, cert) = power_emulation::tape::Tape::compile_optimized(&bench.design)
@@ -364,7 +364,7 @@ fn regenerate(bench: &Benchmark, cells: &CellLibrary) -> Fixture {
     let opt_waveform = tape_waveform_digest(bench, &opt_tape);
     assert_eq!(
         &opt_waveform, full,
-        "{}: optimized tape waveform diverged from the graph engine",
+        "{}: optimized tape waveform diverged from the serial RTL engine",
         bench.name
     );
     Fixture {

@@ -1,5 +1,6 @@
 //! Property-based tests over the core data structures and invariants:
-//! RTL/gate/LUT semantic agreement on randomized netlists, fixed-point
+//! RTL/gate/LUT semantic agreement and compiled-tape lanes against the
+//! serial simulator on randomized netlists, fixed-point
 //! round trips, macromodel evaluation bounds, and netlist-format
 //! round-trips — driven by the workspace's own seeded PRNG
 //! (`pe_util::rng::Xoshiro`), so the suite needs no external harness,
@@ -247,59 +248,101 @@ fn lane_pack_unpack_round_trips() {
     });
 }
 
-/// Any single lane of a `W::LANES`-wide pack behaves exactly like a
+/// Drives every lane of a `W::LANES`-wide run of `tape` with an
+/// independent random stream for a random number of cycles, then replays
+/// each lane on a fresh serial [`Simulator`] of `design` and demands the
+/// same output on every cycle.
+fn assert_lanes_match_serial<W: LaneWord>(
+    design: &Design,
+    tape: &power_emulation::tape::Tape,
+    width: u32,
+    rng: &mut Xoshiro,
+    case: &str,
+) {
+    use power_emulation::sim::SimControl;
+    use power_emulation::tape::WideTapeSimulator;
+
+    let mask = pe_util::bits::mask(width);
+    let cycles = rng.range(2, 13);
+    // Record the stimulus so every lane can be replayed serially.
+    let mut wide = WideTapeSimulator::<W>::new(tape);
+    let mut stim: Vec<Vec<(u64, u64)>> = Vec::new();
+    let mut wide_outs: Vec<Vec<u64>> = Vec::new();
+    for _ in 0..cycles {
+        let row: Vec<(u64, u64)> = (0..W::LANES)
+            .map(|_| (rng.bits(12) & mask, rng.bits(12) & mask))
+            .collect();
+        for (lane, &(a, b)) in row.iter().enumerate() {
+            wide.lane(lane).set_input_by_name("a", a);
+            wide.lane(lane).set_input_by_name("b", b);
+        }
+        wide_outs.push((0..W::LANES).map(|l| wide.output_lane("out", l)).collect());
+        stim.push(row);
+        wide.step();
+    }
+    for lane in 0..W::LANES {
+        let mut serial = Simulator::new(design).unwrap();
+        for (cycle, row) in stim.iter().enumerate() {
+            serial.set_input_by_name("a", row[lane].0);
+            serial.set_input_by_name("b", row[lane].1);
+            assert_eq!(
+                wide_outs[cycle][lane],
+                serial.output("out"),
+                "width {}: lane {lane} diverged from a fresh serial run at cycle {cycle} ({case})",
+                W::LANES
+            );
+            serial.step();
+        }
+    }
+}
+
+/// Drives the serial wrapper over `tape` and a serial [`Simulator`] of
+/// `design` with one identical random stream and demands the same
+/// output on every cycle.
+fn assert_serial_tape_matches_graph(
+    design: &Design,
+    tape: &power_emulation::tape::Tape,
+    width: u32,
+    rng: &mut Xoshiro,
+    case: &str,
+) {
+    use power_emulation::tape::TapeSimulator;
+
+    let mask = pe_util::bits::mask(width);
+    let mut graph = Simulator::new(design).unwrap();
+    let mut serial_tape = TapeSimulator::new(tape);
+    for cycle in 0..rng.range(2, 13) {
+        let (a, b) = (rng.bits(12) & mask, rng.bits(12) & mask);
+        graph.set_input_by_name("a", a);
+        graph.set_input_by_name("b", b);
+        serial_tape.set_input_by_name("a", a);
+        serial_tape.set_input_by_name("b", b);
+        assert_eq!(
+            graph.output("out"),
+            serial_tape.output("out"),
+            "serial tape diverged at cycle {cycle} ({case})"
+        );
+        graph.step();
+        serial_tape.step();
+    }
+}
+
+/// Any single lane of a `W::LANES`-wide tape run behaves exactly like a
 /// fresh serial simulation fed that lane's stimulus, on randomized
-/// designs and randomized per-lane input streams.
+/// designs — including designs whose pipeline registers have no power-on
+/// value (the two-state engines read them as zero, and the tape must
+/// agree from reset onward) — and randomized per-lane input streams.
 fn wide_lane_equals_serial_at<W: LaneWord>(cases: u64) {
-    use power_emulation::sim::{SimControl, WideSimulator};
+    use power_emulation::tape::Tape;
 
     let name = format!("any_wide_lane_equals_a_fresh_serial_run[{}]", W::LANES);
     check(&name, cases, |rng| {
         let width = rng.range(2, 11) as u32;
         let ops = random_ops(rng);
-        let design = random_design(width, &ops);
-        let mask = pe_util::bits::mask(width);
-        let cycles = rng.range(2, 13);
-
-        // Drive all lanes with independent random streams, recording
-        // the stimulus so any lane can be replayed serially.
-        let mut wide = WideSimulator::<W>::new(&design).unwrap();
-        let mut stim: Vec<Vec<(u64, u64)>> = Vec::new();
-        let mut wide_outs: Vec<Vec<u64>> = Vec::new();
-        for _ in 0..cycles {
-            let mut row = vec![(0u64, 0u64); W::LANES];
-            for (lane, r) in row.iter_mut().enumerate() {
-                *r = (rng.bits(12) & mask, rng.bits(12) & mask);
-                wide.lane(lane).set_input_by_name("a", r.0);
-                wide.lane(lane).set_input_by_name("b", r.1);
-            }
-            stim.push(row);
-            let mut outs = vec![0u64; W::LANES];
-            for (lane, o) in outs.iter_mut().enumerate() {
-                *o = wide.output_lane("out", lane);
-            }
-            wide_outs.push(outs);
-            wide.step();
-        }
-
-        // Replay a few arbitrary lanes serially (all distinct lanes when
-        // the word is narrow).
-        let mut replay = vec![0usize, W::LANES / 2, W::LANES - 1];
-        replay.dedup();
-        for lane in replay {
-            let mut serial = Simulator::new(&design).unwrap();
-            for (cycle, row) in stim.iter().enumerate() {
-                serial.set_input_by_name("a", row[lane].0);
-                serial.set_input_by_name("b", row[lane].1);
-                assert_eq!(
-                    wide_outs[cycle][lane],
-                    serial.output("out"),
-                    "width {}: lane {lane} diverged from fresh serial run at cycle {cycle}",
-                    W::LANES
-                );
-                serial.step();
-            }
-        }
+        let uninit = rng.bits(1) == 1;
+        let design = random_design_regs(width, &ops, uninit);
+        let tape = Tape::compile(&design).expect("random design compiles");
+        assert_lanes_match_serial::<W>(&design, &tape, width, rng, &format!("uninit: {uninit}"));
     });
 }
 
@@ -311,76 +354,21 @@ fn any_wide_lane_equals_a_fresh_serial_run() {
     wide_lane_equals_serial_at::<[u64; 4]>(4);
 }
 
-/// The compiled instruction tape agrees with the graph engines
-/// cycle-for-cycle on random netlists at lane width `W::LANES` — the
-/// serial tape against the serial graph simulator, and every lane of
-/// the wide tape against the wide graph engine at the same width —
-/// including designs whose pipeline registers have no power-on value
-/// (the two-state engines read them as zero, and the tape must agree
-/// from reset onward).
-fn tape_agrees_with_graph_at<W: LaneWord>(cases: u64) {
-    use power_emulation::sim::{SimControl, WideSimulator};
-    use power_emulation::tape::{Tape, TapeSimulator, WideTapeSimulator};
+/// The serial compiled tape agrees with the serial graph interpreter
+/// cycle-for-cycle on random netlists, including designs with
+/// uninitialized pipeline registers.
+#[test]
+fn tape_agrees_with_graph_on_random_designs() {
+    use power_emulation::tape::Tape;
 
-    let name = format!("tape_agrees_with_graph_on_random_designs[{}]", W::LANES);
-    check(&name, cases, |rng| {
+    check("tape_agrees_with_graph_on_random_designs", 32, |rng| {
         let width = rng.range(2, 11) as u32;
         let ops = random_ops(rng);
         let uninit = rng.bits(1) == 1;
         let design = random_design_regs(width, &ops, uninit);
         let tape = Tape::compile(&design).expect("random design compiles");
-        let mask = pe_util::bits::mask(width);
-        let cycles = rng.range(2, 13);
-
-        // Serial pair, identical stimulus.
-        let mut graph = Simulator::new(&design).unwrap();
-        let mut serial_tape = TapeSimulator::new(&tape);
-        for cycle in 0..cycles {
-            let (a, b) = (rng.bits(12) & mask, rng.bits(12) & mask);
-            graph.set_input_by_name("a", a);
-            graph.set_input_by_name("b", b);
-            serial_tape.set_input_by_name("a", a);
-            serial_tape.set_input_by_name("b", b);
-            assert_eq!(
-                graph.output("out"),
-                serial_tape.output("out"),
-                "serial tape diverged at cycle {cycle} (uninit: {uninit})"
-            );
-            graph.step();
-            serial_tape.step();
-        }
-
-        // Wide pair, independent per-lane streams.
-        let mut wide = WideSimulator::<W>::new(&design).unwrap();
-        let mut wide_tape = WideTapeSimulator::<W>::new(&tape);
-        for cycle in 0..cycles {
-            for lane in 0..W::LANES {
-                let (a, b) = (rng.bits(12) & mask, rng.bits(12) & mask);
-                wide.lane(lane).set_input_by_name("a", a);
-                wide.lane(lane).set_input_by_name("b", b);
-                wide_tape.lane(lane).set_input_by_name("a", a);
-                wide_tape.lane(lane).set_input_by_name("b", b);
-            }
-            for lane in 0..W::LANES {
-                assert_eq!(
-                    wide.output_lane("out", lane),
-                    wide_tape.output_lane("out", lane),
-                    "width {}: wide tape lane {lane} diverged at cycle {cycle} (uninit: {uninit})",
-                    W::LANES
-                );
-            }
-            wide.step();
-            wide_tape.step();
-        }
+        assert_serial_tape_matches_graph(&design, &tape, width, rng, &format!("uninit: {uninit}"));
     });
-}
-
-#[test]
-fn tape_agrees_with_graph_on_random_designs() {
-    tape_agrees_with_graph_at::<bool>(4);
-    tape_agrees_with_graph_at::<u64>(16);
-    tape_agrees_with_graph_at::<[u64; 2]>(8);
-    tape_agrees_with_graph_at::<[u64; 4]>(4);
 }
 
 /// The verified optimization pipeline holds up under randomized
@@ -388,12 +376,12 @@ fn tape_agrees_with_graph_on_random_designs() {
 /// (the validator never rejects a faithful pipeline output, including
 /// designs with uninitialized pipeline registers), the optimized tape
 /// never grows the program, and the optimized tape's behaviour matches
-/// the graph engines cycle-for-cycle — serially (1 lane) and on every
-/// lane of a 64-lane wide run with independent per-lane streams.
+/// the serial graph interpreter cycle-for-cycle — on the serial tape,
+/// and on every lane of a 64-lane wide run with independent per-lane
+/// streams, each replayed serially.
 #[test]
 fn optimized_tape_certifies_and_agrees_on_random_designs() {
-    use power_emulation::sim::{SimControl, WideSimulator};
-    use power_emulation::tape::{Tape, TapeSimulator, WideTapeSimulator};
+    use power_emulation::tape::Tape;
 
     check(
         "optimized_tape_certifies_and_agrees_on_random_designs",
@@ -417,49 +405,9 @@ fn optimized_tape_certifies_and_agrees_on_random_designs() {
             );
             tape.check_well_formed()
                 .expect("optimized tape stays well-formed");
-            let mask = pe_util::bits::mask(width);
-            let cycles = rng.range(2, 13);
-
-            // Serial pair, identical stimulus.
-            let mut graph = Simulator::new(&design).unwrap();
-            let mut serial_tape = TapeSimulator::new(&tape);
-            for cycle in 0..cycles {
-                let (a, b) = (rng.bits(12) & mask, rng.bits(12) & mask);
-                graph.set_input_by_name("a", a);
-                graph.set_input_by_name("b", b);
-                serial_tape.set_input_by_name("a", a);
-                serial_tape.set_input_by_name("b", b);
-                assert_eq!(
-                    graph.output("out"),
-                    serial_tape.output("out"),
-                    "optimized serial tape diverged at cycle {cycle} (uninit: {uninit})"
-                );
-                graph.step();
-                serial_tape.step();
-            }
-
-            // Wide pair at 64 lanes, independent per-lane streams.
-            let mut wide = WideSimulator::<u64>::new(&design).unwrap();
-            let mut wide_tape = WideTapeSimulator::<u64>::new(&tape);
-            for cycle in 0..cycles {
-                for lane in 0..64 {
-                    let (a, b) = (rng.bits(12) & mask, rng.bits(12) & mask);
-                    wide.lane(lane).set_input_by_name("a", a);
-                    wide.lane(lane).set_input_by_name("b", b);
-                    wide_tape.lane(lane).set_input_by_name("a", a);
-                    wide_tape.lane(lane).set_input_by_name("b", b);
-                }
-                for lane in 0..64 {
-                    assert_eq!(
-                        wide.output_lane("out", lane),
-                        wide_tape.output_lane("out", lane),
-                        "optimized wide tape lane {lane} diverged at cycle {cycle} \
-                     (uninit: {uninit})"
-                    );
-                }
-                wide.step();
-                wide_tape.step();
-            }
+            let case = format!("optimized, uninit: {uninit}");
+            assert_serial_tape_matches_graph(&design, &tape, width, rng, &case);
+            assert_lanes_match_serial::<u64>(&design, &tape, width, rng, &case);
         },
     );
 }

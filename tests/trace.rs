@@ -7,7 +7,8 @@
 //! `f64` operation order, the integral of any whole-run capture equals
 //! `read_energy_fj` **bit for bit**. This suite enforces that claim:
 //!
-//! * serial RTL and wide (lane 0) engines, all seven suite designs;
+//! * the serial RTL engine and lane 0 of the compiled tape, all seven
+//!   suite designs;
 //! * gate-level and LUT-level engines running the *instrumented* design,
 //!   all seven suite designs, waveforms cross-checked sample-for-sample
 //!   against the RTL capture;
@@ -27,11 +28,12 @@ use power_emulation::instrument::{instrument, InstrumentConfig, InstrumentedDesi
 use power_emulation::power::{CharacterizeConfig, ModelLibrary};
 use power_emulation::rtl::builder::DesignBuilder;
 use power_emulation::rtl::Design;
-use power_emulation::sim::{Simulator, WideSimulator};
+use power_emulation::sim::Simulator;
+use power_emulation::tape::{Tape, WideTapeSimulator};
 use power_emulation::trace::{CaptureMode, Channel, PowerWaveform, WaveformRecorder};
 
-/// Cycles per design. Tier-1 runs in debug and the wide engine carries
-/// 64 lanes, so the big instrumented designs get short workloads — the
+/// Cycles per design. Tier-1 runs in debug and the tape carries 64
+/// lanes, so the big instrumented designs get short workloads — the
 /// invariant needs a handful of strobes, not a long run.
 fn budget(name: &str) -> u64 {
     match name {
@@ -124,14 +126,16 @@ fn capture_serial(
     (rec.finish(), energy)
 }
 
-/// Same capture on lane 0 of the 64-lane wide engine (all lanes driven).
+/// Same capture on lane 0 of the 64-lane compiled tape (all lanes
+/// driven).
 fn capture_wide_lane0(
     bench: &Benchmark,
     inst: &InstrumentedDesign,
     cycles: u64,
 ) -> (PowerWaveform, f64) {
     let strobe = u64::from(inst.strobe_period.max(1));
-    let mut sim = WideSimulator::<u64>::new(&inst.design).expect("wide sim");
+    let tape = Tape::compile(&inst.design).expect("instrumented tape compiles");
+    let mut sim = WideTapeSimulator::<u64>::new(&tape);
     let mut tbs = bench.testbench_shards(cycles, LANES);
     let mut rec = domain_recorder(inst, bench.name, 1);
     let raw = inst
