@@ -10,7 +10,8 @@ use pe_bench::cli::BenchArgs;
 use pe_bench::standard_flow;
 use pe_core::accuracy::accuracy_experiment;
 use pe_designs::suite::{all_benchmarks, Scale};
-use pe_harness::{obtain_library, Fanout, JobGraph, JobOutcome, Metrics, StderrLines};
+use pe_harness::{obtain_library, Fanout, JobGraph, JobOutcome, StderrLines};
+use pe_trace::Registry;
 
 fn main() {
     let args = BenchArgs::from_env("accuracy");
@@ -28,8 +29,8 @@ fn main() {
     );
 
     let progress = StderrLines::new("accuracy", false);
-    let metrics = Metrics::new();
-    let sink = Fanout(vec![&progress, &metrics]);
+    let registry = Registry::new();
+    let sink = Fanout(vec![&progress, &registry]);
     let cache = cache.as_ref();
 
     let mut graph: JobGraph<'_, String, String> = JobGraph::new();
@@ -93,5 +94,5 @@ fn main() {
     println!("quantize% is the loss from moving the models into fixed-point hardware —");
     println!("the paper's accuracy-tradeoff claim concerns exactly this column.");
     println!();
-    print!("{}", metrics.render());
+    print!("{}", registry.render());
 }

@@ -10,7 +10,8 @@ use pe_bench::fast_flow;
 use pe_designs::suite::{all_benchmarks, Scale};
 use pe_fpga::device::DeviceModel;
 use pe_fpga::partition::partition;
-use pe_harness::{obtain_library, Fanout, JobGraph, JobOutcome, Metrics, StderrLines};
+use pe_harness::{obtain_library, Fanout, JobGraph, JobOutcome, StderrLines};
+use pe_trace::Registry;
 
 fn main() {
     let args = BenchArgs::from_env("capacity");
@@ -39,8 +40,8 @@ fn main() {
     };
 
     let progress = StderrLines::new("capacity", false);
-    let metrics = Metrics::new();
-    let sink = Fanout(vec![&progress, &metrics]);
+    let registry = Registry::new();
+    let sink = Fanout(vec![&progress, &registry]);
     let cache = cache.as_ref();
     let devices = &devices;
 
@@ -101,5 +102,5 @@ fn main() {
     println!("discussion, quantified. Figure 3 follows the paper's methodology and");
     println!("reports the unpartitioned emulation clock.");
     println!();
-    print!("{}", metrics.render());
+    print!("{}", registry.render());
 }

@@ -10,7 +10,8 @@ use pe_bench::standard_flow;
 use pe_core::figure3::format_table;
 use pe_designs::suite::all_benchmarks;
 use pe_fpga::emulate::EmulationTimeModel;
-use pe_harness::{run_figure3, Fanout, Metrics, StderrLines};
+use pe_harness::{run_figure3, Fanout, StderrLines};
+use pe_trace::Registry;
 
 fn main() {
     let args = BenchArgs::from_env("figure3");
@@ -27,8 +28,8 @@ fn main() {
     println!();
 
     let progress = StderrLines::new("figure3", false);
-    let metrics = Metrics::new();
-    let sink = Fanout(vec![&progress, &metrics]);
+    let registry = Registry::new();
+    let sink = Fanout(vec![&progress, &registry]);
     let rows = match run_figure3(
         &standard_flow,
         &benchmarks,
@@ -57,5 +58,5 @@ fn main() {
         .fold(0.0, f64::max);
     println!("measured here: {min:.0}X to {max:.0}X.");
     println!();
-    print!("{}", metrics.render());
+    print!("{}", registry.render());
 }

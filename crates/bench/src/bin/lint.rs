@@ -17,8 +17,9 @@
 use pe_bench::cli::{BenchArgs, CliError, FlagExt};
 use pe_bench::fast_flow;
 use pe_designs::suite::all_benchmarks;
-use pe_harness::{obtain_library, Fanout, JobGraph, JobOutcome, Metrics, StderrLines};
+use pe_harness::{obtain_library, Fanout, JobGraph, JobOutcome, StderrLines};
 use pe_lint::{Denylist, LintReport, ALL_RULES};
+use pe_trace::Registry;
 
 /// The lint binary's extension flags on the shared dialect.
 struct LintFlags {
@@ -77,8 +78,8 @@ fn main() {
     }
 
     let progress = StderrLines::new("lint", false);
-    let metrics = Metrics::new();
-    let sink = Fanout(vec![&progress, &metrics]);
+    let registry = Registry::new();
+    let sink = Fanout(vec![&progress, &registry]);
     let cache = cache.as_ref();
 
     let mut graph: JobGraph<'_, (u64, LintReport), String> = JobGraph::new();
@@ -244,7 +245,7 @@ fn main() {
             println!("lint: findings promoted to errors by deny={deny:?}");
         }
         println!();
-        print!("{}", metrics.render());
+        print!("{}", registry.render());
     }
     if !all_clean {
         std::process::exit(1);

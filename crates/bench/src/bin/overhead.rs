@@ -16,18 +16,19 @@ use pe_designs::suite::{all_benchmarks, benchmark, Scale};
 use pe_fpga::lut::map_to_luts;
 use pe_fpga::timing::analyze_timing;
 use pe_gate::expand::expand_design;
-use pe_harness::{obtain_library, Fanout, JobGraph, JobOutcome, Metrics, ModelCache, StderrLines};
+use pe_harness::{obtain_library, Fanout, JobGraph, JobOutcome, ModelCache, StderrLines};
 use pe_instrument::{instrument, AggregatorTopology, InstrumentConfig, OverheadReport};
 use pe_power::ModelLibrary;
 use pe_sim::Simulator;
+use pe_trace::Registry;
 
 fn main() {
     let args = BenchArgs::from_env("overhead");
     let cache = args.open_cache();
 
     let progress = StderrLines::new("overhead", false);
-    let metrics = Metrics::new();
-    let sink = Fanout(vec![&progress, &metrics]);
+    let registry = Registry::new();
+    let sink = Fanout(vec![&progress, &registry]);
 
     // ── Per-design overhead table ────────────────────────────────────────
     println!("instrumentation overhead (per-bit models, 16-bit coefficients, tree aggregator)");
@@ -96,7 +97,7 @@ fn main() {
 
     ablations(cache.as_ref(), &sink);
     println!();
-    print!("{}", metrics.render());
+    print!("{}", registry.render());
 }
 
 /// The DCT ablations (Ext-1/2/3). Serial by nature: each sweeps one

@@ -31,7 +31,7 @@ use pe_bench::cli::{BenchArgs, CliError, FlagExt};
 use pe_bench::standard_flow;
 use pe_designs::suite::all_benchmarks;
 use pe_harness::trace::{mean_overhead_pct, render_json, run_trace_bench};
-use pe_harness::{Fanout, Metrics, RegistrySink, StderrLines};
+use pe_harness::{Fanout, StderrLines};
 use pe_trace::{CaptureMode, Profiler, Registry};
 use std::path::PathBuf;
 
@@ -128,9 +128,7 @@ fn main() {
     let profiler = Profiler::new();
     let registry = Registry::new();
     let progress = StderrLines::new("trace", false);
-    let metrics = Metrics::new();
-    let registry_sink = RegistrySink::new(registry.clone());
-    let sink = Fanout(vec![&progress, &metrics, &registry_sink]);
+    let sink = Fanout(vec![&progress, &registry]);
     let rows = match run_trace_bench(
         &standard_flow,
         &benchmarks,
@@ -201,5 +199,5 @@ fn main() {
     println!();
     print!("{}", profiler.render());
     println!();
-    print!("{}", metrics.render());
+    print!("{}", registry.render());
 }

@@ -23,7 +23,8 @@ use pe_harness::wide::{
     geomean_opt_speedup, geomean_settle_mlcps, geomean_tape_speedup, render_json, rows_at,
     run_wide_bench, widths_present, WIDE_BENCH_WIDTHS,
 };
-use pe_harness::{Fanout, Metrics, StderrLines};
+use pe_harness::{Fanout, StderrLines};
+use pe_trace::Registry;
 use std::path::PathBuf;
 
 struct WideExt {
@@ -97,8 +98,8 @@ fn main() {
     println!();
 
     let progress = StderrLines::new("wide", false);
-    let metrics = Metrics::new();
-    let sink = Fanout(vec![&progress, &metrics]);
+    let registry = Registry::new();
+    let sink = Fanout(vec![&progress, &registry]);
     let rows = match run_wide_bench(&benchmarks, args.scale, args.jobs, &ext.lanes, &sink) {
         Ok(rows) => rows,
         Err(e) => {
@@ -157,5 +158,5 @@ fn main() {
         }
     }
     println!();
-    print!("{}", metrics.render());
+    print!("{}", registry.render());
 }

@@ -301,7 +301,7 @@ mod tests {
         // be byte-identical no matter which binary asks.
         let strip = |u: String| u.lines().skip(1).collect::<Vec<_>>().join("\n");
         let reference = strip(usage("figure3"));
-        for binary in ["accuracy", "overhead", "capacity", "wide", "serve"] {
+        for binary in ["accuracy", "overhead", "capacity", "wide", "trace"] {
             assert_eq!(strip(usage(binary)), reference);
         }
         // Extension lines append between the shared flags and --help,

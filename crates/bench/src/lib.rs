@@ -15,10 +15,6 @@
 //!   (serial engine and compiled tape, bit-exact integral invariant), flow-stage
 //!   profiling, and measured tracing overhead (`BENCH_trace.json` plus
 //!   one `.waveform` file per design).
-//! * `serve` — the serving benchmark: concurrent clients against the
-//!   `pe-serve` batching scheduler, cross-request lane packing
-//!   throughput vs a serial baseline with bit-exact verification
-//!   (`BENCH_serve.json`).
 //!
 //! Every binary speaks the shared [`cli`] dialect (`--scale`, `--jobs`,
 //! `--cache-dir`, `--help`) and runs on the `pe-harness` executor, so
@@ -29,6 +25,10 @@
 //! The `[[bench]]` targets use the std-only [`microbench`] runner to
 //! measure the genuinely wall-clock-measurable pieces: estimator
 //! throughput, simulator throughput, and flow-stage costs.
+//!
+//! Served-request load lives in the standalone `perfbench/` package
+//! (closed-loop clients against the `pe-serve` scheduler); bit-exact
+//! lane packing is checked by `pe-serve`'s `differential` test.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

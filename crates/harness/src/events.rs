@@ -3,10 +3,11 @@
 //! Every observable step of a harness run — a job changing state, a
 //! cache probe — is emitted as an [`Event`] to an [`EventSink`]. Events
 //! render as single `key=value` lines ([`fmt::Display`]), so a binary
-//! can stream them to stderr for live progress while a [`Metrics`] sink
-//! accumulates the same stream into an end-of-run stage breakdown.
+//! can stream them to stderr for live progress ([`StderrLines`]) while
+//! the run's [`pe_trace::Registry`], itself an [`EventSink`], counts
+//! the same stream into `harness.*` job, cache and per-stage wall-clock
+//! metrics beside the engine counters.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -232,161 +233,32 @@ impl EventSink for Collector {
     }
 }
 
-/// Per-stage aggregate of a finished run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StageAgg {
-    /// Jobs that finished (successfully or not) in this stage.
-    pub jobs: usize,
-    /// Total wall-clock spent inside job closures of this stage.
-    pub wall: Duration,
-}
-
-/// Aggregates the event stream into queue/cache counters and a
-/// per-stage wall-clock breakdown. Implements [`EventSink`], so it is
-/// simply registered alongside the live-progress sink.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    inner: Mutex<MetricsInner>,
-}
-
-#[derive(Debug, Default)]
-struct MetricsInner {
-    queued: usize,
-    finished: usize,
-    failed: usize,
-    skipped: usize,
-    cache_hits: usize,
-    cache_misses: usize,
-    cache_stores: usize,
-    stages: BTreeMap<String, StageAgg>,
-}
-
-impl Metrics {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cache hits observed.
-    pub fn cache_hits(&self) -> usize {
-        self.inner.lock().expect("metrics poisoned").cache_hits
-    }
-
-    /// Cache misses observed.
-    pub fn cache_misses(&self) -> usize {
-        self.inner.lock().expect("metrics poisoned").cache_misses
-    }
-
-    /// Jobs that finished successfully.
-    pub fn jobs_finished(&self) -> usize {
-        self.inner.lock().expect("metrics poisoned").finished
-    }
-
-    /// Jobs that failed (including panics).
-    pub fn jobs_failed(&self) -> usize {
-        self.inner.lock().expect("metrics poisoned").failed
-    }
-
-    /// The per-stage aggregates, keyed by stage name (sorted).
-    pub fn stages(&self) -> BTreeMap<String, StageAgg> {
-        self.inner.lock().expect("metrics poisoned").stages.clone()
-    }
-
-    /// Renders the end-of-run summary: one line per stage plus cache and
-    /// job counters.
-    pub fn render(&self) -> String {
-        let inner = self.inner.lock().expect("metrics poisoned");
-        let mut out = String::from("stage breakdown (wall-clock inside jobs):\n");
-        for (stage, agg) in &inner.stages {
-            out.push_str(&format!(
-                "  {:<14} {:>3} job(s) {:>10.3}s\n",
-                stage,
-                agg.jobs,
-                agg.wall.as_secs_f64()
-            ));
-        }
-        out.push_str(&format!(
-            "jobs: {} queued, {} finished, {} failed, {} skipped\n",
-            inner.queued, inner.finished, inner.failed, inner.skipped
-        ));
-        out.push_str(&format!(
-            "cache: {} hit(s), {} miss(es), {} store(s)\n",
-            inner.cache_hits, inner.cache_misses, inner.cache_stores
-        ));
-        out
-    }
-}
-
-impl EventSink for Metrics {
+/// The run's metrics registry is an event sink: job and cache activity
+/// lands in the same table as engine counters and bench gauges.
+/// Counters: `harness.jobs_queued`, `harness.jobs_finished`,
+/// `harness.jobs_failed`, `harness.jobs_skipped`, `harness.cache_hits`,
+/// `harness.cache_misses`, `harness.cache_stores`. Per-stage job
+/// wall-clock, finished and failed alike, is observed (in microseconds)
+/// into `harness.job_wall_us.<stage>` histograms.
+impl EventSink for pe_trace::Registry {
     fn emit(&self, event: &Event) {
-        let mut inner = self.inner.lock().expect("metrics poisoned");
         match event {
-            Event::JobQueued { .. } => inner.queued += 1,
+            Event::JobQueued { .. } => self.counter("harness.jobs_queued").inc(),
             Event::JobStarted { .. } => {}
             Event::JobFinished { stage, wall, .. } => {
-                inner.finished += 1;
-                let agg = inner.stages.entry(stage.clone()).or_default();
-                agg.jobs += 1;
-                agg.wall += *wall;
-            }
-            Event::JobFailed { stage, wall, .. } => {
-                inner.failed += 1;
-                let agg = inner.stages.entry(stage.clone()).or_default();
-                agg.jobs += 1;
-                agg.wall += *wall;
-            }
-            Event::JobSkipped { .. } => inner.skipped += 1,
-            Event::CacheHit { .. } => inner.cache_hits += 1,
-            Event::CacheMiss { .. } => inner.cache_misses += 1,
-            Event::CacheStored { .. } => inner.cache_stores += 1,
-        }
-    }
-}
-
-/// Bridges the harness event stream into a [`pe_trace::Registry`], so
-/// job and cache activity lands in the same metrics table as engine
-/// counters and bench gauges. Counters: `harness.jobs_queued`,
-/// `harness.jobs_finished`, `harness.jobs_failed`,
-/// `harness.jobs_skipped`, `harness.cache_hits`, `harness.cache_misses`,
-/// `harness.cache_stores`. Per-stage job wall-clock is observed (in
-/// microseconds) into `harness.job_wall_us.<stage>` histograms.
-#[derive(Debug, Clone)]
-pub struct RegistrySink {
-    registry: pe_trace::Registry,
-}
-
-impl RegistrySink {
-    /// A sink recording into `registry`.
-    pub fn new(registry: pe_trace::Registry) -> Self {
-        Self { registry }
-    }
-
-    /// The registry this sink records into.
-    pub fn registry(&self) -> &pe_trace::Registry {
-        &self.registry
-    }
-}
-
-impl EventSink for RegistrySink {
-    fn emit(&self, event: &Event) {
-        let r = &self.registry;
-        match event {
-            Event::JobQueued { .. } => r.counter("harness.jobs_queued").inc(),
-            Event::JobStarted { .. } => {}
-            Event::JobFinished { stage, wall, .. } => {
-                r.counter("harness.jobs_finished").inc();
-                r.histogram(&format!("harness.job_wall_us.{stage}"))
+                self.counter("harness.jobs_finished").inc();
+                self.histogram(&format!("harness.job_wall_us.{stage}"))
                     .observe(wall.as_micros() as u64);
             }
             Event::JobFailed { stage, wall, .. } => {
-                r.counter("harness.jobs_failed").inc();
-                r.histogram(&format!("harness.job_wall_us.{stage}"))
+                self.counter("harness.jobs_failed").inc();
+                self.histogram(&format!("harness.job_wall_us.{stage}"))
                     .observe(wall.as_micros() as u64);
             }
-            Event::JobSkipped { .. } => r.counter("harness.jobs_skipped").inc(),
-            Event::CacheHit { .. } => r.counter("harness.cache_hits").inc(),
-            Event::CacheMiss { .. } => r.counter("harness.cache_misses").inc(),
-            Event::CacheStored { .. } => r.counter("harness.cache_stores").inc(),
+            Event::JobSkipped { .. } => self.counter("harness.jobs_skipped").inc(),
+            Event::CacheHit { .. } => self.counter("harness.cache_hits").inc(),
+            Event::CacheMiss { .. } => self.counter("harness.cache_misses").inc(),
+            Event::CacheStored { .. } => self.counter("harness.cache_stores").inc(),
         }
     }
 }
@@ -412,45 +284,15 @@ mod tests {
     }
 
     #[test]
-    fn metrics_accumulate_stages_and_cache_counters() {
-        let m = Metrics::new();
-        for (stage, ms) in [("characterize", 30), ("characterize", 50), ("map", 10)] {
-            m.emit(&Event::JobQueued {
-                id: 0,
-                stage: stage.into(),
-                label: "x".into(),
-            });
-            m.emit(&Event::JobFinished {
-                id: 0,
-                stage: stage.into(),
-                label: "x".into(),
-                wall: Duration::from_millis(ms),
-            });
-        }
-        m.emit(&Event::CacheHit {
-            label: "x".into(),
-            key: "00".into(),
-        });
-        assert_eq!(m.jobs_finished(), 3);
-        assert_eq!(m.cache_hits(), 1);
-        let stages = m.stages();
-        assert_eq!(stages["characterize"].jobs, 2);
-        assert_eq!(stages["characterize"].wall, Duration::from_millis(80));
-        let text = m.render();
-        assert!(text.contains("characterize"));
-        assert!(text.contains("cache: 1 hit(s)"));
-    }
-
-    #[test]
     fn fanout_reaches_every_sink() {
         let a = Collector::new();
-        let b = Metrics::new();
+        let b = pe_trace::Registry::new();
         let fan = Fanout(vec![&a, &b]);
         fan.emit(&Event::CacheStored {
             label: "x".into(),
             key: "ff".into(),
         });
         assert_eq!(a.events().len(), 1);
-        assert_eq!(b.inner.lock().unwrap().cache_stores, 1);
+        assert_eq!(b.counter("harness.cache_stores").get(), 1);
     }
 }

@@ -331,7 +331,8 @@ fn render_panic(panic: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{Collector, Metrics, NullSink};
+    use crate::events::{Collector, NullSink};
+    use pe_trace::Registry;
 
     /// A job chain a → b → c plus an independent d, at several worker
     /// counts: outcomes are always indexed by submission order.
@@ -415,8 +416,8 @@ mod tests {
     #[test]
     fn events_trace_the_run() {
         let collector = Collector::new();
-        let metrics = Metrics::new();
-        let sink = crate::events::Fanout(vec![&collector, &metrics]);
+        let registry = Registry::new();
+        let sink = crate::events::Fanout(vec![&collector, &registry]);
         let mut g: JobGraph<'_, u64, String> = JobGraph::new();
         let a = g.add("alpha", "x", vec![], |_| Ok(1));
         let _b = g.add("beta", "x", vec![a], |_| Err("nope".to_string()));
@@ -429,8 +430,8 @@ mod tests {
             .iter()
             .any(|e| matches!(e, Event::JobFailed { stage, error, .. }
                  if stage == "beta" && error == "nope")));
-        assert_eq!(metrics.jobs_finished(), 1);
-        assert_eq!(metrics.jobs_failed(), 1);
+        assert_eq!(registry.counter("harness.jobs_finished").get(), 1);
+        assert_eq!(registry.counter("harness.jobs_failed").get(), 1);
     }
 
     #[test]

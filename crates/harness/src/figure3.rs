@@ -209,10 +209,11 @@ fn collect_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{Metrics, NullSink};
+    use crate::events::NullSink;
     use pe_core::figure3 as serial;
     use pe_designs::suite::benchmark;
     use pe_power::CharacterizeConfig;
+    use pe_trace::Registry;
 
     fn fast_factory() -> PowerEmulationFlow {
         PowerEmulationFlow::new().with_characterize(CharacterizeConfig::fast())
@@ -291,7 +292,7 @@ mod tests {
     #[test]
     fn metrics_count_six_jobs_per_benchmark() {
         let bench = benchmark("Bubble_Sort").unwrap();
-        let metrics = Metrics::new();
+        let registry = Registry::new();
         run_figure3(
             &fast_factory,
             std::slice::from_ref(&bench),
@@ -299,12 +300,11 @@ mod tests {
             &EmulationTimeModel::default(),
             4,
             None,
-            &metrics,
+            &registry,
         )
         .unwrap();
-        assert_eq!(metrics.jobs_finished(), 6);
-        assert_eq!(metrics.jobs_failed(), 0);
-        let stages = metrics.stages();
+        assert_eq!(registry.counter("harness.jobs_finished").get(), 6);
+        assert_eq!(registry.counter("harness.jobs_failed").get(), 0);
         for stage in [
             "characterize",
             "estimate",
@@ -313,7 +313,8 @@ mod tests {
             "time",
             "assemble",
         ] {
-            assert_eq!(stages[stage].jobs, 1, "stage {stage}");
+            let wall = registry.histogram(&format!("harness.job_wall_us.{stage}"));
+            assert_eq!(wall.count(), 1, "stage {stage}");
         }
     }
 }

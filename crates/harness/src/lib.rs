@@ -14,8 +14,9 @@
 //!   of the flattened netlist text and the characterization config.
 //!   Damaged entries silently fall back to recharacterization.
 //! * [`events`] — structured progress/metrics events as line-oriented
-//!   `key=value` records, with sinks for live stderr streaming and
-//!   end-of-run stage/cache summaries.
+//!   `key=value` records, streamed live to stderr and counted into the
+//!   run's [`pe_trace::Registry`] as `harness.*` job, cache and
+//!   per-stage wall-clock metrics.
 //! * [`figure3`] — the paper's evaluation rebuilt on the executor: six
 //!   jobs per benchmark, rows bit-identical to the serial path.
 //! * [`wide`] — the bit-parallel throughput benchmark: 64 testbench
@@ -41,9 +42,7 @@ pub mod trace;
 pub mod wide;
 
 pub use cache::{obtain_library, CacheKey, MissReason, ModelCache};
-pub use events::{
-    Collector, Event, EventSink, Fanout, Metrics, NullSink, RegistrySink, StderrLines,
-};
+pub use events::{Collector, Event, EventSink, Fanout, NullSink, StderrLines};
 pub use executor::{JobGraph, JobId, JobOutcome};
 pub use figure3::{run_figure3, FlowFactory, HarnessError};
 pub use trace::{run_trace_bench, TraceRow};

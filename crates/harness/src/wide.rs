@@ -632,8 +632,9 @@ pub fn render_json(rows: &[WideRow], scale: Scale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{Metrics, NullSink};
+    use crate::events::NullSink;
     use pe_designs::suite::benchmark;
+    use pe_trace::Registry;
 
     #[test]
     fn wide_rows_verify_and_speed_up_at_every_width() {
@@ -676,10 +677,10 @@ mod tests {
     #[test]
     fn metrics_count_one_serial_plus_two_jobs_per_width() {
         let benches = [benchmark("HVPeakF").unwrap()];
-        let metrics = Metrics::new();
-        run_wide_bench(&benches, Scale::Test, 2, &[64, 128], &metrics).unwrap();
-        assert_eq!(metrics.jobs_finished(), 5);
-        assert_eq!(metrics.jobs_failed(), 0);
+        let registry = Registry::new();
+        run_wide_bench(&benches, Scale::Test, 2, &[64, 128], &registry).unwrap();
+        assert_eq!(registry.counter("harness.jobs_finished").get(), 5);
+        assert_eq!(registry.counter("harness.jobs_failed").get(), 0);
     }
 
     fn row(lanes: usize, speedup: f64) -> WideRow {

@@ -2,7 +2,7 @@
 //! order, fanout semantics, aggregate correctness, and thread-safety of
 //! every sink that the executor shares across workers.
 
-use pe_harness::{Collector, Event, EventSink, Fanout, JobGraph, Metrics, NullSink, RegistrySink};
+use pe_harness::{Collector, Event, EventSink, Fanout, JobGraph, NullSink};
 use pe_trace::{MetricValue, Registry};
 use std::sync::Barrier;
 use std::time::Duration;
@@ -47,13 +47,13 @@ fn collector_preserves_emission_order() {
 fn fanout_delivers_to_every_sink_in_registration_order() {
     let first = Collector::new();
     let second = Collector::new();
-    let metrics = Metrics::new();
-    let fan = Fanout(vec![&first, &second, &metrics]);
+    let registry = Registry::new();
+    let fan = Fanout(vec![&first, &second, &registry]);
     fan.emit(&queued(0, "instrument"));
     fan.emit(&finished(0, "instrument", 7));
     assert_eq!(first.events(), second.events());
     assert_eq!(first.events().len(), 2);
-    assert_eq!(metrics.jobs_finished(), 1);
+    assert_eq!(registry.counter("harness.jobs_finished").get(), 1);
 }
 
 #[test]
@@ -88,38 +88,38 @@ fn null_sink_accepts_every_event_shape() {
 }
 
 #[test]
-fn metrics_separate_finished_from_failed_but_bill_wall_to_both() {
-    let m = Metrics::new();
-    m.emit(&finished(0, "estimate", 40));
-    m.emit(&Event::JobFailed {
+fn registry_separates_finished_from_failed_but_bills_wall_to_both() {
+    let r = Registry::new();
+    r.emit(&finished(0, "estimate", 40));
+    r.emit(&Event::JobFailed {
         id: 1,
         stage: "estimate".into(),
         label: "design".into(),
         wall: Duration::from_millis(60),
         error: "overflow".into(),
     });
-    assert_eq!(m.jobs_finished(), 1);
-    assert_eq!(m.jobs_failed(), 1);
-    let stages = m.stages();
-    assert_eq!(stages["estimate"].jobs, 2);
-    assert_eq!(stages["estimate"].wall, Duration::from_millis(100));
+    assert_eq!(r.counter("harness.jobs_finished").get(), 1);
+    assert_eq!(r.counter("harness.jobs_failed").get(), 1);
+    let wall = r.histogram("harness.job_wall_us.estimate");
+    assert_eq!(wall.count(), 2);
+    assert_eq!(wall.sum(), 100_000);
 }
 
 #[test]
-fn registry_sink_bridges_events_into_trace_metrics() {
-    let sink = RegistrySink::new(Registry::new());
-    sink.emit(&queued(0, "map"));
-    sink.emit(&finished(0, "map", 3));
-    sink.emit(&Event::CacheHit {
+fn registry_records_events_as_harness_metrics() {
+    let registry = Registry::new();
+    registry.emit(&queued(0, "map"));
+    registry.emit(&finished(0, "map", 3));
+    registry.emit(&Event::CacheHit {
         label: "design".into(),
         key: "00".into(),
     });
-    sink.emit(&Event::CacheMiss {
+    registry.emit(&Event::CacheMiss {
         label: "design".into(),
         key: "00".into(),
         reason: pe_harness::MissReason::Absent,
     });
-    let snap = sink.registry().snapshot();
+    let snap = registry.snapshot();
     let value = |name: &str| {
         snap.iter()
             .find(|(n, _)| n == name)
@@ -145,9 +145,8 @@ fn sinks_survive_concurrent_emission_without_losing_events() {
     const THREADS: usize = 8;
     const PER_THREAD: usize = 200;
     let collector = Collector::new();
-    let metrics = Metrics::new();
-    let registry_sink = RegistrySink::new(Registry::new());
-    let fan = Fanout(vec![&collector, &metrics, &registry_sink]);
+    let registry = Registry::new();
+    let fan = Fanout(vec![&collector, &registry]);
     let barrier = Barrier::new(THREADS);
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -162,17 +161,19 @@ fn sinks_survive_concurrent_emission_without_losing_events() {
         }
     });
     assert_eq!(collector.events().len(), THREADS * PER_THREAD);
-    assert_eq!(metrics.jobs_finished(), THREADS * PER_THREAD);
-    assert_eq!(metrics.stages()["map"].jobs, THREADS * PER_THREAD);
-    let snap = registry_sink.registry().snapshot();
-    let finished_count = snap
-        .iter()
-        .find(|(n, _)| n == "harness.jobs_finished")
-        .map(|(_, v)| v.clone())
-        .unwrap();
+    let snap = registry.snapshot();
+    let value = |name: &str| snap.iter().find(|(n, _)| n == name).unwrap().1.clone();
     assert_eq!(
-        finished_count,
+        value("harness.jobs_finished"),
         MetricValue::Counter((THREADS * PER_THREAD) as u64)
+    );
+    assert_eq!(
+        value("harness.job_wall_us.map"),
+        MetricValue::Histogram {
+            count: (THREADS * PER_THREAD) as u64,
+            sum: (THREADS * PER_THREAD * 1000) as u64,
+            max: 1000,
+        }
     );
     // Interleaving across threads is arbitrary, but each thread's own
     // events must appear in its emission order.
@@ -200,8 +201,8 @@ fn executor_event_stream_tells_a_consistent_story() {
     // outcome list: every queued job either finishes, fails, or is
     // skipped, and queued events arrive in submission order.
     let collector = Collector::new();
-    let metrics = Metrics::new();
-    let fan = Fanout(vec![&collector, &metrics]);
+    let registry = Registry::new();
+    let fan = Fanout(vec![&collector, &registry]);
     let mut graph: JobGraph<'_, u32, String> = JobGraph::new();
     let ok = graph.add("produce", "a", vec![], |_| Ok(1));
     let bad = graph.add("produce", "b", vec![], |_| Err("boom".to_string()));
@@ -232,8 +233,9 @@ fn executor_event_stream_tells_a_consistent_story() {
     for id in 0..4 {
         assert_eq!(terminal(id), 1, "job {id} must reach exactly one end state");
     }
-    assert_eq!(metrics.jobs_finished(), 2);
-    assert_eq!(metrics.jobs_failed(), 1);
+    assert_eq!(registry.counter("harness.jobs_finished").get(), 2);
+    assert_eq!(registry.counter("harness.jobs_failed").get(), 1);
+    assert_eq!(registry.counter("harness.jobs_skipped").get(), 1);
     assert!(events.iter().any(|e| matches!(
         e,
         Event::JobSkipped {

@@ -8,10 +8,7 @@ use crate::design::{ComponentId, Design, DesignError, SignalId};
 /// any component's output. Sorted by signal index.
 pub fn undriven_signals(design: &Design) -> Vec<SignalId> {
     design
-        .signals()
-        .iter()
-        .enumerate()
-        .map(|(i, _)| SignalId(i as u32))
+        .signal_ids()
         .filter(|&s| design.driver_of(s).is_none() && !design.is_input_driven(s))
         .collect()
 }

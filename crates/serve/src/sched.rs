@@ -26,7 +26,7 @@
 use pe_core::PowerEmulationFlow;
 use pe_designs::defects::benchmark_or_defect;
 use pe_designs::suite::Benchmark;
-use pe_harness::{obtain_library, ModelCache, RegistrySink};
+use pe_harness::{obtain_library, ModelCache};
 use pe_instrument::InstrumentedDesign;
 use pe_lint::{lint_instrumented, Denylist, LintReport};
 use pe_power::CharacterizeConfig;
@@ -687,13 +687,12 @@ fn build_prepared(shared: &Shared, key: &GroupKey) -> Result<PreparedDesign, Ref
         ModelChoice::Standard => CharacterizeConfig::standard(),
     };
     let flow = PowerEmulationFlow::new().with_characterize(config);
-    let sink = RegistrySink::new(shared.registry.clone());
     let library = obtain_library(
         &bench.design,
         flow.characterize_config(),
         shared.config.model_cache.as_ref(),
         bench.name,
-        &sink,
+        &shared.registry,
     )
     .map_err(|e| Refusal::internal(format!("characterize failed: {e}")))?;
     // Instrument directly rather than through `stage_instrument`: the

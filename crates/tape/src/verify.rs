@@ -710,14 +710,8 @@ pub fn validate_against(
         })
         .collect();
     let signals: Vec<(pe_rtl::SignalId, u32)> = design
-        .signals()
-        .iter()
-        .map(|s| {
-            let id = design
-                .find_signal(s.name())
-                .expect("signal names are unique");
-            (id, s.width())
-        })
+        .signal_ids()
+        .map(|id| (id, design.signal(id).width()))
         .collect();
     for round in 0..=rounds {
         let x_round = round == rounds;

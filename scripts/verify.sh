@@ -82,8 +82,7 @@ serve_admit=$(printf 'submit id=evil design=Defect_Uninit_Reg cycles=64 seed=1\n
 grep -q '^event=error req=evil code=unsound_design ' <<<"$serve_admit"
 ! grep -q '^event=result' <<<"$serve_admit"
 
-echo "== serve bench smoke (lane packing vs serial, bit-exact, BENCH_serve_smoke.json)"
-cargo run -p pe-bench --release --offline --bin serve -- --scale test --jobs 2 \
-  --clients 8 --requests 2 --cycles 128 --design Bubble_Sort --out "$scratch/BENCH_serve_smoke.json"
+echo "== serve lane-packing differential (batched energies bit-exact vs serial, 1 and 2 workers)"
+cargo test --release --offline -q -p pe-serve --test differential
 
 echo "verify: OK"
