@@ -321,11 +321,12 @@ impl ComponentKind {
             }
             ComponentKind::Slice { lo } => {
                 arity(1)?;
-                if lo + out_width > in_widths[0] {
+                // Widened: `lo` comes from netlist text and may be near
+                // u32::MAX.
+                let end = u64::from(*lo) + u64::from(out_width);
+                if end > u64::from(in_widths[0]) {
                     return Err(WidthError::new(format!(
-                        "slice [{}..{}] exceeds input width {}",
-                        lo,
-                        lo + out_width,
+                        "slice [{lo}..{end}] exceeds input width {}",
                         in_widths[0]
                     )));
                 }
@@ -698,6 +699,17 @@ mod tests {
             has_enable: false,
         }
         .eval(&[0], &[8], 8);
+    }
+
+    #[test]
+    fn slice_width_rule_rejects_offsets_near_u32_max() {
+        for lo in [u32::MAX, u32::MAX - 3, 1 << 31] {
+            let err = ComponentKind::Slice { lo }
+                .check_widths(&[6], 4)
+                .expect_err("slice past the input");
+            assert!(err.to_string().contains("exceeds input width 6"), "{err}");
+        }
+        assert!(ComponentKind::Slice { lo: 2 }.check_widths(&[6], 4).is_ok());
     }
 
     #[test]

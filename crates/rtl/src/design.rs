@@ -524,24 +524,6 @@ impl Design {
         }
     }
 
-    /// Evaluates combinational component `id` given its input values
-    /// (masked to their widths). Convenience wrapper over
-    /// [`ComponentKind::eval`].
-    ///
-    /// # Panics
-    ///
-    /// Panics for sequential components.
-    pub fn eval_component(&self, id: ComponentId, ins: &[u64]) -> u64 {
-        let comp = &self.components[id.index()];
-        let in_widths: Vec<u32> = comp
-            .inputs()
-            .iter()
-            .map(|s| self.signals[s.index()].width)
-            .collect();
-        let out_width = self.signals[comp.output().index()].width;
-        comp.kind().eval(ins, &in_widths, out_width)
-    }
-
     /// Validates global integrity: every signal driven, no combinational
     /// cycles, every memory/register clocked (checked at insert but
     /// re-verified), and every port well-formed.
@@ -734,13 +716,6 @@ mod tests {
         let (d, ..) = two_bit_adder();
         assert_eq!(d.fresh_name("novel"), "novel");
         assert_eq!(d.fresh_name("a"), "a_2");
-    }
-
-    #[test]
-    fn eval_component_wrapper() {
-        let (d, ..) = two_bit_adder();
-        let add = d.find_component("add0").unwrap();
-        assert_eq!(d.eval_component(add, &[3, 2]), 1); // (3+2) & 0b11
     }
 
     #[test]

@@ -20,10 +20,6 @@
 //!   tape in `pe-tape`; this crate's [`Simulator`] is the serial
 //!   reference oracle it is translation-validated and differentially
 //!   tested against.
-//! * [`activity::ActivityRecorder`] — per-signal toggle counting (switching
-//!   activity), the quantity that both gate-level power analysis and the
-//!   paper's macromodels consume.
-//! * [`waveform`] — VCD-style waveform capture for debugging.
 //!
 //! # Example
 //!
@@ -50,10 +46,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod activity;
 mod engine;
 pub mod testbench;
-pub mod waveform;
 
 pub use engine::Simulator;
 pub use testbench::{run, ConstInputs, SimControl, Testbench, VectorTestbench, WideControl};

@@ -15,7 +15,9 @@
 //!   lowers the remainder to dense instructions with pre-resolved
 //!   operand indices — no per-cycle graph walks, no `HashMap` lookups.
 //!   [`Tape::compile_optimized`] adds the verified pass pipeline and a
-//!   translation-validation [`TapeCertificate`] against the netlist.
+//!   [`TapeCertificate`] from translation validation: seeded probe
+//!   rounds co-simulating the optimized tape against
+//!   [`pe_sim::Simulator`] on the source netlist.
 //! * [`WideTapeSimulator`] interprets the program over a plane arena of
 //!   [`pe_util::lanes::LaneWord`]s — generic from 1 (`bool`) through 64
 //!   (`u64`) to 128/256 (`[u64; 2]`/`[u64; 4]`) lanes; the compiled

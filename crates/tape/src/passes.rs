@@ -1149,7 +1149,7 @@ mod tests {
                 cert.pre_instructions,
                 cert.post_instructions
             );
-            validate_against(&bench.design, &tape, 1, 4).expect("revalidates");
+            validate_against(&bench.design, &tape, 2, 4).expect("revalidates");
             eprintln!(
                 "{}: {} -> {} instrs, {} -> {} planes",
                 bench.name,

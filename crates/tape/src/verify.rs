@@ -14,15 +14,14 @@
 //!    the writer reads it — the n-ary chain contract), and consistency
 //!    of the derived fast-path metadata (dense runs, mask-group
 //!    bindings) with the pools they summarize.
-//! 2. [`validate_against`] symbolically co-simulates the source netlist
-//!    against the tape interpreter using the ternary per-bit lattice
-//!    from [`pe_lint::dataflow`]: concrete probe rounds drive random
-//!    input words through both sides and demand per-signal equality
-//!    every cycle (output *and* next-state equivalence — register and
-//!    memory state evolves across the probe window), and an X round
-//!    starts uninitialized registers at ⊥ and demands the tape agree on
-//!    every bit the lattice proves defined. A mutant tape that survives
-//!    the structural checks is caught here.
+//! 2. [`validate_against`] co-simulates the tape interpreter against
+//!    the serial reference simulator [`pe_sim::Simulator`], the same
+//!    oracle every differential test uses: seeded probe rounds drive
+//!    random input words through both sides from power-on state and
+//!    demand every signal agree, bit for bit, every cycle (output *and*
+//!    next-state equivalence — register and memory state evolves
+//!    across the probe window). A mutant tape that survives the
+//!    structural checks is caught here.
 //!
 //! [`Tape::compile_optimized`] packages both into a
 //! [`TapeCertificate`]: netlist and IR digests, per-pass instruction
@@ -31,14 +30,13 @@
 use crate::ir;
 use crate::wide::{WInstr, WideProgram};
 use crate::Tape;
-use pe_lint::dataflow::Tern;
-use pe_rtl::{ComponentKind, Design};
+use pe_rtl::Design;
 use pe_util::bits;
 use std::fmt;
 
 /// Probe rounds [`Tape::compile_optimized`] drives through the
-/// translation validator (plus one X round).
-pub const DEFAULT_PROBE_ROUNDS: u32 = 3;
+/// translation validator.
+pub const DEFAULT_PROBE_ROUNDS: u32 = 4;
 /// Clock cycles per validation probe round.
 pub const DEFAULT_PROBE_CYCLES: u32 = 8;
 
@@ -68,9 +66,9 @@ impl std::error::Error for WfError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidateError {
     /// Stable rejection class: a [`WfError::reason`] when the
-    /// structural pre-check failed, `signal-mismatch` when a concrete
-    /// probe diverged, or `x-refinement` when the tape contradicted a
-    /// bit the ternary lattice proves defined.
+    /// structural pre-check failed, `invalid-design` when the reference
+    /// simulator rejected the netlist, or `signal-mismatch` when a
+    /// probe diverged.
     pub reason: &'static str,
     /// Which signal/cycle/round diverged, with both values.
     pub detail: String,
@@ -140,7 +138,7 @@ pub struct TapeCertificate {
     pub validated: bool,
     /// The rejection reason when `validated` is false.
     pub reason: Option<String>,
-    /// Concrete probe rounds the validator drove (plus one X round).
+    /// Probe rounds the validator drove against the reference simulator.
     pub probe_rounds: u32,
     /// Cycles per probe round.
     pub probe_cycles: u32,
@@ -511,189 +509,21 @@ impl Probe {
     }
 }
 
-/// Whether every bit of `t` is pinned to exactly one polarity.
-fn fully_known(t: Tern, w: u32) -> bool {
-    t.x == 0 && t.zero & t.one == 0 && (t.zero | t.one) == bits::mask(w)
-}
-
-/// The bits of `t` the lattice proves: exactly one polarity, no X.
-fn known_mask(t: Tern, w: u32) -> u64 {
-    (t.zero ^ t.one) & !t.x & bits::mask(w)
-}
-
-/// The ternary reference interpreter over the source netlist: exact
-/// transfer when a component's inputs are fully defined, ⊥ (all-X)
-/// otherwise — sound for refinement checking against the two-state
-/// tape.
-struct TernRef<'d> {
-    design: &'d Design,
-    order: Vec<pe_rtl::ComponentId>,
-    vals: Vec<Tern>,
-    /// Concrete memory contents per memory component, tainted when an
-    /// unknown write address/data/enable makes them unrecoverable.
-    mem_words: Vec<Vec<u64>>,
-    mem_tainted: Vec<bool>,
-}
-
-impl<'d> TernRef<'d> {
-    fn new(design: &'d Design, x_round: bool) -> Self {
-        let order = pe_rtl::topo_order(design).expect("validated design");
-        let n = design.signals().len();
-        let mut vals = vec![Tern::exact(0, 1); n];
-        let mut mem_words = Vec::new();
-        for comp in design.components() {
-            let q = comp.output();
-            let w = design.signal(q).width();
-            match comp.kind() {
-                ComponentKind::Register { init, .. } => {
-                    vals[q.index()] = match init {
-                        Some(v) => Tern::exact(*v, w),
-                        None if x_round => Tern::undef(w),
-                        None => Tern::exact(0, w),
-                    };
-                }
-                ComponentKind::Memory { words, init } => {
-                    let m = bits::mask(w);
-                    let contents = match init {
-                        Some(init) => init.iter().map(|&v| v & m).collect(),
-                        None => vec![0u64; *words as usize],
-                    };
-                    mem_words.push(contents);
-                    // Read-data starts at 0 in both engines.
-                    vals[q.index()] = Tern::exact(0, w);
-                }
-                _ => {}
-            }
-        }
-        let n_mems = mem_words.len();
-        TernRef {
-            design,
-            order,
-            vals,
-            mem_words,
-            mem_tainted: vec![false; n_mems],
-        }
-    }
-
-    fn drive(&mut self, signal: pe_rtl::SignalId, value: u64) {
-        let w = self.design.signal(signal).width();
-        self.vals[signal.index()] = Tern::exact(value, w);
-    }
-
-    /// Re-evaluates the combinational frontier in topological order.
-    fn settle(&mut self) {
-        let mut ins: Vec<u64> = Vec::new();
-        for &id in &self.order {
-            let comp = self.design.component(id);
-            let out = comp.output();
-            let out_w = self.design.signal(out).width();
-            ins.clear();
-            let mut known = true;
-            for &s in comp.inputs() {
-                let w = self.design.signal(s).width();
-                let t = self.vals[s.index()];
-                if !fully_known(t, w) {
-                    known = false;
-                    break;
-                }
-                ins.push(t.one);
-            }
-            self.vals[out.index()] = if known {
-                Tern::exact(self.design.eval_component(id, &ins), out_w)
-            } else {
-                Tern::undef(out_w)
-            };
-        }
-    }
-
-    /// Advances all clock domains one edge: capture-then-commit, the
-    /// same simultaneous-edge semantics as both engines.
-    fn step(&mut self) {
-        let mut next: Vec<(pe_rtl::SignalId, Tern)> = Vec::new();
-        let mut writes: Vec<(usize, Option<(u64, u64)>)> = Vec::new();
-        let mut mem_i = 0usize;
-        for comp in self.design.components() {
-            let q = comp.output();
-            let w = self.design.signal(q).width();
-            match comp.kind() {
-                ComponentKind::Register { has_enable, .. } => {
-                    let d = self.vals[comp.inputs()[0].index()];
-                    let nv = if *has_enable {
-                        let en = self.vals[comp.inputs()[1].index()];
-                        if fully_known(en, 1) {
-                            if en.one & 1 == 1 {
-                                d
-                            } else {
-                                self.vals[q.index()]
-                            }
-                        } else {
-                            Tern::undef(w)
-                        }
-                    } else {
-                        d
-                    };
-                    next.push((q, nv));
-                }
-                ComponentKind::Memory { words, .. } => {
-                    let addr_w = self.design.signal(comp.inputs()[0]).width();
-                    let raddr = self.vals[comp.inputs()[0].index()];
-                    let waddr = self.vals[comp.inputs()[1].index()];
-                    let wdata = self.vals[comp.inputs()[2].index()];
-                    let wen = self.vals[comp.inputs()[3].index()];
-                    let data_w = w;
-                    // Read first (read-before-write, as both engines).
-                    let read = if !self.mem_tainted[mem_i] && fully_known(raddr, addr_w) {
-                        let word = raddr.one as usize % *words as usize;
-                        Tern::exact(self.mem_words[mem_i][word] & bits::mask(data_w), data_w)
-                    } else {
-                        Tern::undef(data_w)
-                    };
-                    next.push((q, read));
-                    // Then record the write for the commit phase.
-                    if fully_known(wen, 1) {
-                        if wen.one & 1 == 1 {
-                            if fully_known(waddr, addr_w)
-                                && fully_known(wdata, self.design.signal(comp.inputs()[2]).width())
-                            {
-                                let word = waddr.one % *words as u64;
-                                writes.push((mem_i, Some((word, wdata.one & bits::mask(data_w)))));
-                            } else {
-                                writes.push((mem_i, None));
-                            }
-                        }
-                    } else {
-                        writes.push((mem_i, None));
-                    }
-                    mem_i += 1;
-                }
-                _ => {}
-            }
-        }
-        for (q, v) in next {
-            self.vals[q.index()] = v;
-        }
-        for (mi, write) in writes {
-            match write {
-                Some((word, value)) => self.mem_words[mi][word as usize] = value,
-                None => self.mem_tainted[mi] = true,
-            }
-        }
-    }
-}
-
-/// Proves `tape` equivalent to `design` by symbolic co-simulation:
-/// `rounds` concrete probe rounds of `cycles` cycles each (random
-/// inputs, per-signal equality demanded every cycle), plus one X round
-/// where uninitialized registers start at ⊥ in the ternary lattice and
-/// the tape must agree on every bit the lattice proves defined. Runs
-/// the structural well-formedness proof first, so a malformed tape is
-/// rejected by name instead of interpreted.
+/// Proves `tape` equivalent to `design` by co-simulation against the
+/// serial reference simulator [`pe_sim::Simulator`]: `rounds` probe
+/// rounds of `cycles` cycles each drive seeded random input words
+/// through both sides from power-on state and demand that every signal
+/// agree, bit for bit, every cycle — output *and* next-state
+/// equivalence, since register and memory state evolves across the
+/// probe window. Runs the structural well-formedness proof first, so a
+/// malformed tape is rejected by name instead of interpreted.
 ///
 /// # Errors
 ///
-/// A [`ValidateError`] carrying the structural reason, or
-/// `signal-mismatch` / `x-refinement` naming the first diverging
-/// signal, cycle, and round.
+/// A [`ValidateError`] carrying the structural reason,
+/// `invalid-design` when the reference simulator rejects the netlist,
+/// or `signal-mismatch` naming the first diverging signal, cycle, and
+/// round.
 pub fn validate_against(
     design: &Design,
     tape: &Tape,
@@ -701,6 +531,10 @@ pub fn validate_against(
     cycles: u32,
 ) -> Result<(), ValidateError> {
     tape.check_well_formed()?;
+    let mut reference = pe_sim::Simulator::new(design).map_err(|e| ValidateError {
+        reason: "invalid-design",
+        detail: e.to_string(),
+    })?;
     let inputs: Vec<(pe_rtl::SignalId, u32)> = design
         .inputs()
         .iter()
@@ -709,39 +543,25 @@ pub fn validate_against(
             (s, design.signal(s).width())
         })
         .collect();
-    let signals: Vec<(pe_rtl::SignalId, u32)> = design
-        .signal_ids()
-        .map(|id| (id, design.signal(id).width()))
-        .collect();
-    for round in 0..=rounds {
-        let x_round = round == rounds;
+    for round in 0..rounds {
         let mut probe = Probe(0x5eed_0000_0000_0000 ^ (u64::from(round) << 8));
-        let mut reference = TernRef::new(design, x_round);
+        reference.reset();
         let mut sim = crate::TapeSimulator::new(tape);
         for cycle in 0..cycles {
             for &(sig, w) in &inputs {
                 let v = probe.next() & bits::mask(w);
-                reference.drive(sig, v);
+                reference.set_input(sig, v);
                 sim.set_input(sig, v);
             }
-            reference.settle();
-            for &(sig, w) in &signals {
+            for (sig, &want) in design.signal_ids().zip(reference.values()) {
                 let got = sim.value(sig);
-                let want = reference.vals[sig.index()];
-                let mask = known_mask(want, w);
-                if (got ^ want.one) & mask != 0 {
-                    let reason = if x_round {
-                        "x-refinement"
-                    } else {
-                        "signal-mismatch"
-                    };
+                if got != want {
                     return Err(ValidateError {
-                        reason,
+                        reason: "signal-mismatch",
                         detail: format!(
-                            "signal `{}` round {round} cycle {cycle}: netlist proves {:#x} \
-                             on mask {mask:#x}, tape computed {got:#x}",
+                            "signal `{}` round {round} cycle {cycle}: netlist computed \
+                             {want:#x}, tape computed {got:#x}",
                             design.signal(sig).name(),
-                            want.one & mask,
                         ),
                     });
                 }
@@ -882,7 +702,7 @@ mod tests {
                     continue;
                 }
                 applied += 1;
-                let err = validate_against(&bench.design, &tape, 2, 6).expect_err(&format!(
+                let err = validate_against(&bench.design, &tape, 3, 6).expect_err(&format!(
                     "{}: mutant `{mutation}` slipped past the validator",
                     bench.name
                 ));
@@ -906,5 +726,26 @@ mod tests {
         assert!(!tape.seed_miscompile("no-such-mutation"));
         tape.check_well_formed()
             .expect("untouched tape stays sound");
+    }
+
+    /// Uninitialized registers and X-steered muxes power on at zero in
+    /// both the tape and the reference simulator, so they certify.
+    #[test]
+    fn two_state_defect_designs_certify() {
+        for name in pe_designs::defects::DEFECT_NAMES {
+            let bench = pe_designs::defects::defect_benchmark(name).expect("defect exists");
+            let (_, cert) = Tape::compile_optimized(&bench.design).expect("compiles");
+            assert!(cert.validated, "{name}: {:?}", cert.reason);
+        }
+    }
+
+    #[test]
+    fn a_netlist_the_reference_rejects_is_named() {
+        let bench = &all_benchmarks()[0];
+        let tape = Tape::compile(&bench.design).expect("compiles");
+        let broken = pe_designs::defects::structural_defect_design("Defect_Comb_Cycle")
+            .expect("defect exists");
+        let err = validate_against(&broken, &tape, 1, 1).expect_err("rejected");
+        assert_eq!(err.reason, "invalid-design");
     }
 }

@@ -4,11 +4,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Smoke outputs (bench JSON, machine lint reports, waveform dirs) are
-# byproducts, not artifacts: write them to a scratch dir that dies with
-# the run instead of littering the repo root.
-scratch=$(mktemp -d)
-trap 'rm -rf "$scratch"' EXIT
+# Smoke outputs (bench JSON, machine lint report, waveform dir) go to a
+# fixed, git-ignored directory under target/, so CI can upload them as
+# artifacts after the run.
+out=target/verify
+rm -rf "$out"
+mkdir -p "$out"
 
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
@@ -19,54 +20,53 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo build --release"
 cargo build --workspace --release --offline
 
-echo "== cargo test"
+# Every test target runs here, once. Among them: the width-sweep
+# differential matrix (differential, tape_differential, properties: 1/64/
+# 128/256 lanes, bit-exact), the seeded-miscompile suite (tape_miscompile),
+# golden waveforms (golden, trace), the parser mutation fuzz (parser_fuzz)
+# and serve lane packing vs serial (pe-serve's differential).
+echo "== cargo test (workspace, every test target)"
 cargo test --workspace --release --offline -q
-
-echo "== width-sweep differential matrix (1/64/128/256 lanes, bit-exact)"
-cargo test --release --offline -q --test differential --test tape_differential --test properties
-
-echo "== seeded-miscompile suite (translation validator rejects every mutant)"
-cargo test --release --offline -q --test tape_miscompile
 
 echo "== wide bench smoke at 128 lanes (lane digests verified)"
 cargo run -p pe-bench --release --offline --bin wide -- --scale test --jobs 2 \
-  --lanes 128 --out "$scratch/BENCH_wide_128.json"
-grep -q '"lanes": 128' "$scratch/BENCH_wide_128.json"
+  --lanes 128 --out "$out/BENCH_wide_128.json"
+grep -q '"lanes": 128' "$out/BENCH_wide_128.json"
 
 echo "== wide bench smoke, all widths (lane digests verified, BENCH_wide.json)"
 cargo run -p pe-bench --release --offline --bin wide -- --scale test --jobs 2 \
-  --out "$scratch/BENCH_wide.json"
+  --out "$out/BENCH_wide.json"
 
 echo "== per-width columns present in BENCH_wide.json"
-grep -q '"tape_seconds"' "$scratch/BENCH_wide.json"
-grep -q '"tape_speedup"' "$scratch/BENCH_wide.json"
-grep -q '"lane_widths": \[64, 128, 256\]' "$scratch/BENCH_wide.json"
-grep -q '"lanes": 64' "$scratch/BENCH_wide.json"
-grep -q '"lanes": 128' "$scratch/BENCH_wide.json"
-grep -q '"lanes": 256' "$scratch/BENCH_wide.json"
-grep -q '"settle_mlcps"' "$scratch/BENCH_wide.json"
-grep -q '"geomean_settle_mlcps"' "$scratch/BENCH_wide.json"
+grep -q '"tape_seconds"' "$out/BENCH_wide.json"
+grep -q '"tape_speedup"' "$out/BENCH_wide.json"
+grep -q '"lane_widths": \[64, 128, 256\]' "$out/BENCH_wide.json"
+grep -q '"lanes": 64' "$out/BENCH_wide.json"
+grep -q '"lanes": 128' "$out/BENCH_wide.json"
+grep -q '"lanes": 256' "$out/BENCH_wide.json"
+grep -q '"settle_mlcps"' "$out/BENCH_wide.json"
+grep -q '"geomean_settle_mlcps"' "$out/BENCH_wide.json"
 
 echo "== pass-stat columns present in BENCH_wide.json (verified optimization pipeline)"
-grep -q '"tape_pre_instructions"' "$scratch/BENCH_wide.json"
-grep -q '"tape_post_instructions"' "$scratch/BENCH_wide.json"
-grep -q '"opt_seconds"' "$scratch/BENCH_wide.json"
-grep -q '"opt_speedup"' "$scratch/BENCH_wide.json"
-grep -q '"geomean_opt_speedup"' "$scratch/BENCH_wide.json"
+grep -q '"tape_pre_instructions"' "$out/BENCH_wide.json"
+grep -q '"tape_post_instructions"' "$out/BENCH_wide.json"
+grep -q '"opt_seconds"' "$out/BENCH_wide.json"
+grep -q '"opt_speedup"' "$out/BENCH_wide.json"
+grep -q '"geomean_opt_speedup"' "$out/BENCH_wide.json"
 
 echo "== trace bench smoke (waveform integral invariant, serial vs tape waveform equality, BENCH_trace.json)"
 cargo run -p pe-bench --release --offline --bin trace -- --scale test --jobs 2 \
-  --out "$scratch/BENCH_trace.json" --waveform-dir "$scratch/waveforms"
-grep -q '"engine": "tape"' "$scratch/BENCH_trace.json"
+  --out "$out/BENCH_trace.json" --waveform-dir "$out/waveforms"
+grep -q '"engine": "tape"' "$out/BENCH_trace.json"
 
 echo "== lint gate with tape certificates (--deny all --machine --tape) vs locked fixture"
 cargo run -p pe-bench --release --offline --quiet --bin lint -- \
-  --scale test --jobs 2 --deny all --machine --tape 2>/dev/null > "$scratch/LINT_machine.txt"
-diff -u tests/golden/lint_machine.txt "$scratch/LINT_machine.txt"
+  --scale test --jobs 2 --deny all --machine --tape 2>/dev/null > "$out/LINT_machine.txt"
+diff -u tests/golden/lint_machine.txt "$out/LINT_machine.txt"
 
 echo "== tape certificates validated for all suite designs"
-[ "$(grep -c ' tape_validated=true ' "$scratch/LINT_machine.txt")" -eq 7 ]
-! grep -q 'tape_validated=false' "$scratch/LINT_machine.txt"
+[ "$(grep -c ' tape_validated=true ' "$out/LINT_machine.txt")" -eq 7 ]
+! grep -q 'tape_validated=false' "$out/LINT_machine.txt"
 
 echo "== serve smoke (stdio transport: ping, submit, drained shutdown)"
 serve_out=$(printf 'ping\nsubmit id=smoke design=Bubble_Sort cycles=64 seed=1\nshutdown\n' \
@@ -81,8 +81,5 @@ serve_admit=$(printf 'submit id=evil design=Defect_Uninit_Reg cycles=64 seed=1\n
   | cargo run -p pe-serve --release --offline --quiet -- --transport stdio)
 grep -q '^event=error req=evil code=unsound_design ' <<<"$serve_admit"
 ! grep -q '^event=result' <<<"$serve_admit"
-
-echo "== serve lane-packing differential (batched energies bit-exact vs serial, 1 and 2 workers)"
-cargo test --release --offline -q -p pe-serve --test differential
 
 echo "verify: OK"

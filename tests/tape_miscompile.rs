@@ -43,7 +43,7 @@ fn every_seeded_miscompile_is_rejected_with_a_named_reason() {
                 continue;
             }
             applied.push(bench.name);
-            let err = validate_against(&bench.design, &tape, 2, 6).expect_err(&format!(
+            let err = validate_against(&bench.design, &tape, 3, 6).expect_err(&format!(
                 "{}: mutant `{mutation}` passed translation validation",
                 bench.name
             ));
@@ -83,7 +83,7 @@ fn mutants_never_survive_structural_check_plus_validation() {
             match tape.check_well_formed() {
                 Err(_) => rejected_by_wf += 1,
                 Ok(()) => {
-                    validate_against(&bench.design, &tape, 2, 6).expect_err(&format!(
+                    validate_against(&bench.design, &tape, 3, 6).expect_err(&format!(
                         "{}: well-formed mutant `{mutation}` passed validation",
                         bench.name
                     ));
@@ -111,5 +111,5 @@ fn unknown_mutation_leaves_the_tape_certified() {
     let bench = &all_benchmarks()[0];
     let (mut tape, _) = Tape::compile_optimized(&bench.design).expect("suite design compiles");
     assert!(!tape.seed_miscompile("not-a-mutation"));
-    validate_against(&bench.design, &tape, 1, 4).expect("untouched tape stays valid");
+    validate_against(&bench.design, &tape, 2, 4).expect("untouched tape stays valid");
 }
