@@ -1,8 +1,10 @@
-//! Static-analysis gate over the benchmark suite: instruments every
-//! design and runs `pe-lint` on the result — structural rules, clock
-//! discipline, and the instrumentation-soundness checks including the
-//! interval-analysis accumulator overflow proof at each design's paper
-//! emulation horizon.
+//! Static-analysis gate over the benchmark suite: prepares every design
+//! the way `pe-serve` does ([`pe_core::PowerEmulationFlow::stage_prepare`]:
+//! instrument, lint, compile the served tape) and reports the `pe-lint`
+//! findings — structural rules, clock discipline, and the
+//! instrumentation-soundness checks, including the interval-analysis
+//! accumulator overflow proof at each design's paper emulation horizon —
+//! and the tape certificates.
 //!
 //! Usage: `cargo run -p pe-bench --release --bin lint --
 //! [--scale test|paper] [--jobs N] [--cache-dir DIR] [--deny RULES]
@@ -11,21 +13,24 @@
 //! `--deny all` promotes every warning to an error (the CI
 //! configuration); `--deny cdc,acc-overflow` promotes just those rules.
 //! `--machine` emits one `key=value` line per design instead of the
-//! human table. Exit status is 0 iff every design is clean under the
-//! requested denylist.
+//! human table; its `tape_*` fields certify the *plain* (uninstrumented)
+//! design's tape, locked in `tests/golden/lint_machine.txt` (the served
+//! tape is locked in `tests/golden/served_tapes.txt`). Exit status is 0
+//! iff every design is clean under the requested denylist and both its
+//! plain and its served tape pass translation validation.
 
 use pe_bench::cli::{BenchArgs, CliError, FlagExt};
 use pe_bench::fast_flow;
 use pe_designs::suite::all_benchmarks;
 use pe_harness::{obtain_library, Fanout, JobGraph, JobOutcome, StderrLines};
 use pe_lint::{Denylist, LintReport, ALL_RULES};
+use pe_tape::TapeCertificate;
 use pe_trace::Registry;
 
 /// The lint binary's extension flags on the shared dialect.
 struct LintFlags {
     deny: Denylist,
     machine: bool,
-    tape: bool,
 }
 
 impl FlagExt for LintFlags {
@@ -41,7 +46,6 @@ impl FlagExt for LintFlags {
                     .map_err(|e| CliError::Invalid(format!("--deny: {e}")))?;
             }
             "--machine" => self.machine = true,
-            "--tape" => self.tape = true,
             _ => return Ok(false),
         }
         Ok(true)
@@ -50,22 +54,24 @@ impl FlagExt for LintFlags {
 
 const EXTRA_USAGE: &str = "\x20 --deny RULES         promote warnings to errors: \
 `all`, `none`, or rule ids\n\
-\x20 --machine            key=value output, one line per design\n\
-\x20 --tape               compile, optimize, and translation-validate each \
-design's tape; report the certificate\n";
+\x20 --machine            key=value output, one line per design\n";
+
+/// One design's verdict: the horizon it was linted at, the served
+/// design's lint report, and the plain and served tape certificates.
+struct Verdict {
+    horizon: u64,
+    report: LintReport,
+    plain: TapeCertificate,
+    served: TapeCertificate,
+}
 
 fn main() {
     let mut flags = LintFlags {
         deny: Denylist::None,
         machine: false,
-        tape: false,
     };
     let args = BenchArgs::from_env_with("lint", &mut flags, EXTRA_USAGE);
-    let LintFlags {
-        deny,
-        machine,
-        tape,
-    } = flags;
+    let LintFlags { deny, machine } = flags;
     let cache = args.open_cache();
     let benchmarks = all_benchmarks();
 
@@ -82,12 +88,13 @@ fn main() {
     let sink = Fanout(vec![&progress, &registry]);
     let cache = cache.as_ref();
 
-    let mut graph: JobGraph<'_, (u64, LintReport), String> = JobGraph::new();
+    let mut graph: JobGraph<'_, Verdict, String> = JobGraph::new();
     for bench in &benchmarks {
         let horizon = bench.cycles(args.scale);
-        let sink = &sink;
+        let (sink, registry) = (&sink, &registry);
         graph.add("lint", bench.name, vec![], move |_| {
-            let flow = fast_flow();
+            // `--deny` is applied below: stage_prepare only lints.
+            let flow = fast_flow().with_lint(Denylist::None, Some(horizon));
             let library = obtain_library(
                 &bench.design,
                 flow.characterize_config(),
@@ -96,21 +103,31 @@ fn main() {
                 sink,
             )
             .map_err(|e| e.to_string())?;
-            let instrumented =
-                pe_instrument::instrument(&bench.design, &library, flow.instrument_config())
-                    .map_err(|e| e.to_string())?;
-            Ok((
+            flow.install_library(library);
+            let prepared = flow
+                .stage_prepare(&bench.design, registry)
+                .map_err(|e| e.to_string())?;
+            let (_, plain) =
+                pe_tape::Tape::compile_optimized(&bench.design).map_err(|e| e.to_string())?;
+            Ok(Verdict {
                 horizon,
-                pe_lint::lint_instrumented(&instrumented, Some(horizon)),
-            ))
+                report: prepared.report,
+                plain,
+                served: prepared.certificate,
+            })
         });
     }
 
     let outcomes = graph.run(args.jobs, &sink);
     let mut all_clean = true;
     for (bench, outcome) in benchmarks.iter().zip(&outcomes) {
-        let (horizon, report) = match outcome {
-            JobOutcome::Done(r) => (&r.0, &r.1),
+        let Verdict {
+            horizon,
+            report,
+            plain,
+            served,
+        } = match outcome {
+            JobOutcome::Done(v) => v.as_ref(),
             other => {
                 let why = match other {
                     JobOutcome::Failed(e) => e.clone(),
@@ -122,20 +139,17 @@ fn main() {
             }
         };
         let clean = report.is_clean(&deny);
-        all_clean &= clean;
-        // Translation-validate the compiled tape alongside the lint
-        // verdict: the certificate is part of the static gate — a tape
-        // the validator cannot certify fails the run like a lint error.
-        let cert = if tape {
-            let (_, cert) = pe_tape::Tape::compile_optimized(&bench.design).unwrap_or_else(|e| {
-                eprintln!("[lint] {}: tape compilation failed: {e}", bench.name);
-                std::process::exit(1);
-            });
-            all_clean &= cert.validated;
-            Some(cert)
-        } else {
-            None
-        };
+        // The tape certificates are part of the static gate: a tape the
+        // validator cannot certify fails the run like a lint error.
+        all_clean &= clean && plain.validated && served.validated;
+        for (which, c) in [("plain", plain), ("served", served)] {
+            if let Some(reason) = &c.reason {
+                eprintln!(
+                    "[lint] {}: {which} tape not validated: {reason}",
+                    bench.name
+                );
+            }
+        }
         if machine {
             print!(
                 "design={} horizon={horizon} findings={} errors={} clean={clean}",
@@ -168,27 +182,7 @@ fn main() {
                     c.energy_bound_fj(*horizon)
                 );
             }
-            if let Some(c) = &cert {
-                print!(
-                    " tape_pre_instructions={} tape_post_instructions={} tape_pre_planes={} \
-                     tape_post_planes={} tape_validated={} tape_netlist_fnv128={} \
-                     tape_ir_fnv128={}",
-                    c.pre_instructions,
-                    c.post_instructions,
-                    c.pre_planes,
-                    c.post_planes,
-                    c.validated,
-                    c.netlist_fnv128,
-                    c.ir_fnv128,
-                );
-                for p in &c.passes {
-                    print!(
-                        " tape_pass={}:{}->{}",
-                        p.pass, p.instructions_before, p.instructions_after
-                    );
-                }
-            }
-            println!();
+            println!(" {}", plain.machine_fields());
         } else {
             let verdict = if clean { "clean" } else { "FAILED" };
             println!(
@@ -218,14 +212,14 @@ fn main() {
                     c.stable_bits
                 );
             }
-            if let Some(c) = &cert {
+            for (which, c) in [("plain", plain), ("served", served)] {
                 let verdict = if c.validated {
                     "validated"
                 } else {
                     "NOT VALIDATED"
                 };
                 println!(
-                    "  note: tape {verdict}, {} -> {} instructions ({} removed), \
+                    "  note: {which} tape {verdict}, {} -> {} instructions ({} removed), \
                      {} -> {} planes",
                     c.pre_instructions,
                     c.post_instructions,

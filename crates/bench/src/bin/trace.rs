@@ -32,7 +32,7 @@ use pe_bench::standard_flow;
 use pe_designs::suite::all_benchmarks;
 use pe_harness::trace::{mean_overhead_pct, render_json, run_trace_bench};
 use pe_harness::{Fanout, StderrLines};
-use pe_trace::{CaptureMode, Profiler, Registry};
+use pe_trace::{CaptureMode, Registry};
 use std::path::PathBuf;
 
 struct TraceExt {
@@ -125,7 +125,6 @@ fn main() {
     println!(" readback, and serial vs wide lane 0 must match sample-for-sample)");
     println!();
 
-    let profiler = Profiler::new();
     let registry = Registry::new();
     let progress = StderrLines::new("trace", false);
     let sink = Fanout(vec![&progress, &registry]);
@@ -138,7 +137,6 @@ fn main() {
         ext.capture,
         args.jobs,
         cache.as_ref(),
-        &profiler,
         &registry,
         &sink,
     ) {
@@ -181,13 +179,7 @@ fn main() {
     }
 
     let trace_rows: Vec<_> = rows.iter().map(|(r, _)| r.clone()).collect();
-    let doc = render_json(
-        &trace_rows,
-        args.scale,
-        ext.sample_period,
-        &profiler,
-        &registry,
-    );
+    let doc = render_json(&trace_rows, args.scale, ext.sample_period, &registry);
     match std::fs::write(&ext.out, &doc) {
         Ok(()) => println!("wrote {}", ext.out.display()),
         Err(e) => {
@@ -196,8 +188,6 @@ fn main() {
         }
     }
 
-    println!();
-    print!("{}", profiler.render());
     println!();
     print!("{}", registry.render());
 }

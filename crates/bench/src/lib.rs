@@ -9,11 +9,12 @@
 //! * `overhead` — instrumentation area overhead per design (the paper's
 //!   closing concern), plus coefficient-width and strobe-period ablations.
 //! * `capacity` — device-fit and multi-FPGA partitioning study.
-//! * `lint` — the `pe-lint` static soundness gate over the instrumented
-//!   suite (`--deny all` for CI, `--machine` for `key=value` output).
+//! * `lint` — the `pe-lint` static soundness gate over the suite as it
+//!   is served (`--deny all` for CI, `--machine` for `key=value`
+//!   output), with every plain and served tape translation-validated.
 //! * `trace` — the observability benchmark: per-design power waveforms
 //!   (serial engine and compiled tape, bit-exact integral invariant), flow-stage
-//!   profiling, and measured tracing overhead (`BENCH_trace.json` plus
+//!   timings, and measured tracing overhead (`BENCH_trace.json` plus
 //!   one `.waveform` file per design).
 //!
 //! Every binary speaks the shared [`cli`] dialect (`--scale`, `--jobs`,

@@ -10,6 +10,8 @@ use pe_instrument::{instrument, InstrumentConfig, InstrumentedDesign, OverheadRe
 use pe_power::{CharacterizeConfig, ModelLibrary};
 use pe_rtl::Design;
 use pe_sim::{Simulator, Testbench};
+use pe_tape::{Tape, TapeCertificate, TapeError};
+use pe_trace::Registry;
 use std::cell::RefCell;
 use std::fmt;
 
@@ -25,6 +27,8 @@ pub enum FlowError {
     Lint(pe_lint::LintReport),
     /// The instrumented design does not fit the platform.
     Capacity(pe_fpga::partition::PartitionError),
+    /// The instrumented design could not be compiled to a tape.
+    Tape(TapeError),
     /// Simulation of the enhanced design failed.
     Simulate(String),
 }
@@ -42,6 +46,7 @@ impl fmt::Display for FlowError {
                 Ok(())
             }
             FlowError::Capacity(e) => write!(f, "platform capacity exceeded: {e}"),
+            FlowError::Tape(e) => write!(f, "tape compilation failed: {e}"),
             FlowError::Simulate(msg) => write!(f, "emulation execution failed: {msg}"),
         }
     }
@@ -108,6 +113,20 @@ impl FlowResult {
             cycles.div_ceil(strobe),
         )
     }
+}
+
+/// A design made ready to serve by [`PowerEmulationFlow::stage_prepare`].
+#[derive(Debug)]
+pub struct Prepared {
+    /// The instrumented (enhanced) design plus readout metadata.
+    pub instrumented: InstrumentedDesign,
+    /// The lint report of `instrumented`, ungated: each caller applies
+    /// its own denylist.
+    pub report: pe_lint::LintReport,
+    /// `instrumented` compiled, optimized, and translation-validated.
+    pub tape: Tape,
+    /// The certificate of `tape`; check `validated` before running it.
+    pub certificate: TapeCertificate,
 }
 
 /// Power read back from an emulation run.
@@ -194,6 +213,8 @@ impl PowerEmulationFlow {
     /// listed rules (or all) to hard errors, and `horizon_cycles`, when
     /// set, requires every accumulator to be proven overflow-free for
     /// that many cycles. Intrinsic-error findings always gate.
+    /// [`PowerEmulationFlow::stage_prepare`] lints at the same horizon
+    /// but leaves `deny` to its caller.
     pub fn with_lint(mut self, deny: pe_lint::Denylist, horizon_cycles: Option<u64>) -> Self {
         self.lint_deny = deny;
         self.lint_horizon = horizon_cycles;
@@ -254,6 +275,44 @@ impl PowerEmulationFlow {
         Ok((instrumented, overhead))
     }
 
+    /// The served pipeline: instrument → lint → tape compile, optimize,
+    /// and validate, with the installed library, instrument config, and
+    /// lint horizon (characterization stays with the caller). Each layer
+    /// is timed into `registry` (`prepare.instrument_us`,
+    /// `prepare.lint_us`, `prepare.tape_us`). The lint report is not
+    /// gated and a tape that fails validation is not an error: the
+    /// caller decides what to refuse.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::Instrument`] when instrumentation fails and
+    /// [`FlowError::Tape`] when the instrumented design does not compile.
+    pub fn stage_prepare(
+        &self,
+        design: &Design,
+        registry: &Registry,
+    ) -> Result<Prepared, FlowError> {
+        let instrumented = registry
+            .time_us("prepare.instrument_us", || {
+                instrument(design, &self.library.borrow(), &self.instrument)
+            })
+            .map_err(FlowError::Instrument)?;
+        let report = registry.time_us("prepare.lint_us", || {
+            pe_lint::lint_instrumented(&instrumented, self.lint_horizon)
+        });
+        let (tape, certificate) = registry
+            .time_us("prepare.tape_us", || {
+                Tape::compile_optimized(&instrumented.design)
+            })
+            .map_err(FlowError::Tape)?;
+        Ok(Prepared {
+            instrumented,
+            report,
+            tape,
+            certificate,
+        })
+    }
+
     /// Stage 2b: expands the enhanced design to gates and maps it onto
     /// 4-LUTs.
     pub fn stage_map(&self, instrumented: &InstrumentedDesign) -> LutNetlist {
@@ -289,37 +348,6 @@ impl PowerEmulationFlow {
         let mapped = self.stage_map(&instrumented);
         let timing = self.stage_time(&mapped);
         let partition = self.stage_partition(&mapped)?;
-        Ok(FlowResult {
-            instrumented,
-            overhead,
-            mapped,
-            timing,
-            partition,
-        })
-    }
-
-    /// [`PowerEmulationFlow::run`] with every stage wrapped in a
-    /// [`pe_trace::Profiler`] scope (`characterize`, `instrument`,
-    /// `map`, `time`, `partition`), labeled with the design name. The
-    /// stage wall-clock lands in the profiler's JSONL/summary output;
-    /// the result is identical to an unprofiled run.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing stage (the spans recorded so far are
-    /// kept, so partial timings survive a failure).
-    pub fn run_profiled(
-        &self,
-        design: &Design,
-        profiler: &pe_trace::Profiler,
-    ) -> Result<FlowResult, FlowError> {
-        let label = design.name();
-        profiler.time("characterize", label, || self.prepare_models(design))?;
-        let (instrumented, overhead) =
-            profiler.time("instrument", label, || self.stage_instrument(design))?;
-        let mapped = profiler.time("map", label, || self.stage_map(&instrumented));
-        let timing = profiler.time("time", label, || self.stage_time(&mapped));
-        let partition = profiler.time("partition", label, || self.stage_partition(&mapped))?;
         Ok(FlowResult {
             instrumented,
             overhead,
@@ -432,30 +460,34 @@ mod tests {
     }
 
     #[test]
-    fn run_profiled_matches_run_and_records_every_stage() {
+    fn stage_prepare_builds_a_validated_tape_and_times_each_layer() {
         let d = small_design();
         let flow = PowerEmulationFlow::new().with_characterize(CharacterizeConfig::fast());
-        let plain = flow.run(&d).unwrap();
-
-        let profiled_flow = PowerEmulationFlow::new().with_characterize(CharacterizeConfig::fast());
-        let profiler = pe_trace::Profiler::new();
-        let profiled = profiled_flow.run_profiled(&d, &profiler).unwrap();
-
+        flow.prepare_models(&d).unwrap();
+        let registry = Registry::new();
+        let prepared = flow.stage_prepare(&d, &registry).unwrap();
+        let (staged, _) = flow.stage_instrument(&d).unwrap();
         assert_eq!(
-            plain.mapped.resource_use().luts,
-            profiled.mapped.resource_use().luts
+            prepared.instrumented.design.components().len(),
+            staged.design.components().len()
         );
-        assert_eq!(
-            plain.timing.fmax_mhz.to_bits(),
-            profiled.timing.fmax_mhz.to_bits()
+        assert!(prepared.report.is_clean(&pe_lint::Denylist::All));
+        assert!(
+            prepared.certificate.validated,
+            "{:?}",
+            prepared.certificate.reason
         );
-        let spans = profiler.spans();
-        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec!["characterize", "instrument", "map", "time", "partition"]
-        );
-        assert!(spans.iter().all(|s| s.label == "flow_test"));
+        // The tape was compiled from the instrumented netlist.
+        let mut netlist = pe_util::hash::Fnv128::new();
+        netlist.update(pe_rtl::text::to_text(&staged.design).as_bytes());
+        assert_eq!(prepared.certificate.netlist_fnv128, netlist.hex());
+        for layer in [
+            "prepare.instrument_us",
+            "prepare.lint_us",
+            "prepare.tape_us",
+        ] {
+            assert_eq!(registry.histogram(layer).count(), 1, "{layer}");
+        }
     }
 
     #[test]
@@ -499,6 +531,9 @@ mod tests {
             }
             other => panic!("expected lint gate failure, got {other:?}"),
         }
+        // stage_prepare returns the same report ungated; its caller decides.
+        let prepared = tight.stage_prepare(&d, &Registry::new()).unwrap();
+        assert!(!prepared.report.is_clean(&pe_lint::Denylist::All));
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //!   map → time; returns a [`FlowResult`] with the area, timing, and
 //!   emulation-time picture, and can execute the enhanced design to read
 //!   back power ([`PowerEmulationFlow::emulate_power`]).
+//!   [`PowerEmulationFlow::stage_prepare`] builds the served form of a
+//!   design — instrumented, linted, and compiled to a validated tape —
+//!   for `pe-serve`, the lint bench, and the tests.
 //! * [`accuracy`] — the "little or no tradeoff in accuracy" experiment:
 //!   emulated vs. software vs. gate-level energies on one workload.
 //! * [`figure3`] — the paper's evaluation: measured software-estimator
@@ -46,4 +49,4 @@ pub mod accuracy;
 pub mod figure3;
 mod flow;
 
-pub use flow::{EmulatedPower, FlowError, FlowResult, PowerEmulationFlow};
+pub use flow::{EmulatedPower, FlowError, FlowResult, PowerEmulationFlow, Prepared};

@@ -25,7 +25,7 @@
 //!   before any speedup is reported.
 //! * [`trace`] — the observability benchmark: strobe-aligned power
 //!   waveforms from the serial engine and the tape (bit-exact integral
-//!   against the energy readback), flow-stage profiling, and measured
+//!   against the energy readback), flow-stage timings, and measured
 //!   tracing overhead, emitted as `BENCH_trace.json` plus per-design
 //!   waveform files.
 //!

@@ -1,10 +1,10 @@
 //! The observability benchmark: per-design power waveforms, tracing
-//! overhead, flow-stage profiling, and a unified metrics snapshot.
+//! overhead, flow-stage timings, and a unified metrics snapshot.
 //!
 //! Per benchmark, four jobs on the [`crate::executor::JobGraph`]:
 //!
 //! ```text
-//! flow (profiled stages) ──┬─► serial (untraced + traced run) ──┐
+//! flow (timed stages) ─────┬─► serial (untraced + traced run) ──┐
 //!                          └─► wide (lane-0 traced run) ────────┴─► assemble
 //! ```
 //!
@@ -20,7 +20,7 @@
 use pe_designs::suite::{Benchmark, Scale};
 use pe_instrument::InstrumentedDesign;
 use pe_sim::Simulator;
-use pe_trace::{CaptureMode, PowerWaveform, Profiler, Registry};
+use pe_trace::{CaptureMode, PowerWaveform, Registry};
 use pe_util::lanes::LaneWord;
 use std::time::Instant;
 
@@ -237,9 +237,10 @@ fn traced_wide_run<W: LaneWord>(
 }
 
 /// Runs the observability benchmark as a job graph; `(row, waveform)`
-/// pairs come back in `benchmarks` order. Flow stages are timed into
-/// `profiler`; engine, instrumentation, and job metrics land in
-/// `registry`. Use `workers = 1` when the overhead columns matter.
+/// pairs come back in `benchmarks` order. Flow stages and run phases
+/// are timed into `trace.<stage>_us` histograms of `registry`, next to
+/// the engine, instrumentation, and job metrics. Use `workers = 1` when
+/// the overhead columns matter.
 /// `lanes` picks the wide job's tape width (64, 128, or 256); the
 /// serial baseline runs on the reference [`Simulator`], so every run
 /// doubles as a cross-engine, cross-width waveform equality check (the
@@ -261,7 +262,6 @@ pub fn run_trace_bench(
     capture: CaptureMode,
     workers: usize,
     cache: Option<&ModelCache>,
-    profiler: &Profiler,
     registry: &Registry,
     sink: &dyn EventSink,
 ) -> Result<Vec<(TraceRow, PowerWaveform)>, HarnessError> {
@@ -281,19 +281,21 @@ pub fn run_trace_bench(
 
         let flow_job = graph.add("flow", name, vec![], move |_| {
             let flow = flow_factory();
-            let library = profiler
-                .time("characterize", name, || {
+            let library = registry
+                .time_us("trace.characterize_us", || {
                     obtain_library(&bench.design, flow.characterize_config(), cache, name, sink)
                 })
                 .map_err(|e| HarnessError::new("characterize", name, e))?;
             flow.install_library(library);
-            let (instrumented, _overhead) = profiler
-                .time("instrument", name, || flow.stage_instrument(&bench.design))
+            let (instrumented, _overhead) = registry
+                .time_us("trace.instrument_us", || {
+                    flow.stage_instrument(&bench.design)
+                })
                 .map_err(|e| HarnessError::new("instrument", name, e))?;
-            let mapped = profiler.time("map", name, || flow.stage_map(&instrumented));
-            let _timing = profiler.time("time", name, || flow.stage_time(&mapped));
-            profiler
-                .time("partition", name, || flow.stage_partition(&mapped))
+            let mapped = registry.time_us("trace.map_us", || flow.stage_map(&instrumented));
+            let _timing = registry.time_us("trace.time_us", || flow.stage_time(&mapped));
+            registry
+                .time_us("trace.partition_us", || flow.stage_partition(&mapped))
                 .map_err(|e| HarnessError::new("partition", name, e))?;
             instrumented.record_metrics(registry);
             Ok(Node::Instrumented(Box::new(instrumented)))
@@ -303,11 +305,11 @@ pub fn run_trace_bench(
             let Node::Instrumented(inst) = &*deps[0] else {
                 unreachable!("serial depends on flow")
             };
-            let untraced_seconds = profiler.time("run_untraced", name, || {
+            let untraced_seconds = registry.time_us("trace.run_untraced_us", || {
                 untraced_serial_run(bench, inst, cycles)
             })?;
             let start = Instant::now();
-            let (waveform, _strobes) = profiler.time("run_traced", name, || {
+            let (waveform, _strobes) = registry.time_us("trace.run_traced_us", || {
                 traced_serial_run(bench, inst, cycles, sample_period, capture, registry)
             })?;
             let traced_seconds = start.elapsed().as_secs_f64();
@@ -322,7 +324,7 @@ pub fn run_trace_bench(
             let Node::Instrumented(inst) = &*deps[0] else {
                 unreachable!("wide depends on flow")
             };
-            let waveform = profiler.time("run_wide", name, || match lanes {
+            let waveform = registry.time_us("trace.run_wide_us", || match lanes {
                 64 => traced_wide_run::<u64>(bench, inst, cycles, sample_period, capture, registry),
                 128 => traced_wide_run::<[u64; 2]>(
                     bench,
@@ -441,15 +443,13 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Renders the benchmark result as the `BENCH_trace.json` document:
-/// per-design rows (sample counts, energies, measured overhead),
-/// per-stage wall-clock from the profiler, and the full metrics
-/// snapshot. The `engine` key names the wide job's substrate, the
-/// compiled tape.
+/// per-design rows (sample counts, energies, measured overhead) and the
+/// full metrics snapshot, per-stage wall clock included. The `engine`
+/// key names the wide job's substrate, the compiled tape.
 pub fn render_json(
     rows: &[TraceRow],
     scale: Scale,
     sample_period: u32,
-    profiler: &Profiler,
     registry: &Registry,
 ) -> String {
     let mut out = String::from("{\n");
@@ -489,7 +489,6 @@ pub fn render_json(
         "  \"mean_overhead_pct\": {:.2},\n",
         mean_overhead_pct(rows)
     ));
-    out.push_str(&format!("  \"stages\": {},\n", profiler.render_json("  ")));
     out.push_str(&format!("  \"metrics\": {}\n", registry.render_json("  ")));
     out.push_str("}\n");
     out
@@ -510,7 +509,6 @@ mod tests {
     #[test]
     fn trace_rows_hold_the_integral_invariant_and_match_engines() {
         let benches = [benchmark("Bubble_Sort").unwrap()];
-        let profiler = Profiler::new();
         let registry = Registry::new();
         let rows = run_trace_bench(
             &fast_flow,
@@ -521,7 +519,6 @@ mod tests {
             CaptureMode::Unbounded,
             1,
             None,
-            &profiler,
             &registry,
             &NullSink,
         )
@@ -537,12 +534,8 @@ mod tests {
         assert_eq!(row.digest, waveform.digest());
         // Every strobe boundary plus the initial sample was retained.
         assert_eq!(waveform.len() as u64, row.strobes + 1);
-        // All five flow stages plus the three run phases were profiled.
-        let stage_names: Vec<String> = profiler
-            .totals()
-            .iter()
-            .map(|(n, _, _)| n.clone())
-            .collect();
+        // All five flow stages plus the three run phases were timed,
+        // once each.
         for stage in [
             "characterize",
             "instrument",
@@ -553,7 +546,8 @@ mod tests {
             "run_traced",
             "run_wide",
         ] {
-            assert!(stage_names.iter().any(|n| n == stage), "missing {stage}");
+            let timed = registry.histogram(&format!("trace.{stage}_us"));
+            assert_eq!(timed.count(), 1, "missing {stage}");
         }
         // Engine and instrumentation metrics landed in the registry.
         let snap = registry.snapshot();
@@ -574,7 +568,6 @@ mod tests {
         // The traced lane-0 waveform must be invariant across the lane
         // width.
         for lanes in [64, 128] {
-            let profiler = Profiler::new();
             let registry = Registry::new();
             let rows = run_trace_bench(
                 &fast_flow,
@@ -585,7 +578,6 @@ mod tests {
                 CaptureMode::Unbounded,
                 1,
                 None,
-                &profiler,
                 &registry,
                 &NullSink,
             )
@@ -604,7 +596,6 @@ mod tests {
     #[test]
     fn decimated_capture_still_integrates_exactly() {
         let benches = [benchmark("HVPeakF").unwrap()];
-        let profiler = Profiler::new();
         let registry = Registry::new();
         let rows = run_trace_bench(
             &fast_flow,
@@ -615,7 +606,6 @@ mod tests {
             CaptureMode::Decimate(32),
             1,
             None,
-            &profiler,
             &registry,
             &NullSink,
         )
@@ -640,10 +630,9 @@ mod tests {
             overhead_pct: 5.0,
             digest: "0".repeat(32),
         }];
-        let profiler = Profiler::new();
         let registry = Registry::new();
         registry.counter("trace.samples_total").add(1201);
-        let doc = render_json(&rows, Scale::Test, 1, &profiler, &registry);
+        let doc = render_json(&rows, Scale::Test, 1, &registry);
         assert!(doc.contains("\"bench\": \"trace\""));
         assert!(doc.contains("\"engine\": \"tape\""));
         assert!(doc.contains("\"integral_matches_readback\": true"));

@@ -23,12 +23,12 @@
 //! growth. Shutdown is graceful: new submits are rejected, workers drain
 //! everything already accepted, then [`Scheduler::drain`] returns.
 
-use pe_core::PowerEmulationFlow;
+use pe_core::{FlowError, PowerEmulationFlow};
 use pe_designs::defects::benchmark_or_defect;
 use pe_designs::suite::Benchmark;
 use pe_harness::{obtain_library, ModelCache};
 use pe_instrument::InstrumentedDesign;
-use pe_lint::{lint_instrumented, Denylist, LintReport};
+use pe_lint::{Denylist, LintReport};
 use pe_power::CharacterizeConfig;
 use pe_trace::Registry;
 use pe_util::lanes::{LaneWord, MAX_LANES};
@@ -660,7 +660,7 @@ fn run_batch(shared: &Shared, batch_id: u64, key: &GroupKey, jobs: Vec<Job>) -> 
     BatchDone { total, delivered }
 }
 
-/// The memoized characterize→instrument pipeline for a group. Holding
+/// The memoized characterize → prepare pipeline for a group. Holding
 /// the map lock through a build serializes first-touch prepares across
 /// workers — deliberate, so concurrent cold batches of the same design
 /// characterize once, not twice.
@@ -695,40 +695,38 @@ fn build_prepared(shared: &Shared, key: &GroupKey) -> Result<PreparedDesign, Ref
         &shared.registry,
     )
     .map_err(|e| Refusal::internal(format!("characterize failed: {e}")))?;
-    // Instrument directly rather than through `stage_instrument`: the
-    // flow's built-in lint gate would turn an unsound design into an
-    // opaque `internal` failure, but admission owns that decision — the
-    // report is kept so `submit` can answer `unsound_design` with the
-    // findings.
-    let inst = pe_instrument::instrument(&bench.design, &library, flow.instrument_config())
-        .map_err(|e| Refusal::internal(format!("instrument failed: {e}")))?;
-    let report = lint_instrumented(&inst, None);
-    let (tape, certificate) = compile_tape(&inst.design)?;
+    flow.install_library(library);
+    // `stage_prepare` returns the lint report ungated: admission owns
+    // that decision, so `submit` can answer `unsound_design` with the
+    // findings instead of an opaque `internal` failure.
+    let prepared = flow
+        .stage_prepare(&bench.design, &shared.registry)
+        .map_err(|e| prepare_refusal(bench.name, e))?;
     Ok(PreparedDesign {
         bench,
-        inst,
-        report,
-        tape,
-        certificate,
+        inst: prepared.instrumented,
+        report: prepared.report,
+        tape: prepared.tape,
+        certificate: prepared.certificate,
     })
 }
 
-/// Compiles, optimizes, and translation-validates a group's tape. A
+/// Why a group's prepare failed, as the refusal every submit gets. A
 /// design the tape compiler rejects cannot be served — there is no
-/// other engine to run it on — so the failure is refused with the same
+/// other engine to run it on — so that failure is refused with the same
 /// `tape_unverified` code as a tape that fails validation, naming the
 /// compiler's diagnosis.
-fn compile_tape(
-    design: &pe_rtl::Design,
-) -> Result<(pe_tape::Tape, pe_tape::TapeCertificate), Refusal> {
-    pe_tape::Tape::compile_optimized(design).map_err(|e| Refusal {
-        code: ErrorCode::TapeUnverified,
-        message: format!(
-            "tape for design `{}` failed to compile ({}): {e}",
-            design.name(),
-            e.rule()
-        ),
-    })
+fn prepare_refusal(design: &str, err: FlowError) -> Refusal {
+    match err {
+        FlowError::Tape(e) => Refusal {
+            code: ErrorCode::TapeUnverified,
+            message: format!(
+                "tape for design `{design}` failed to compile ({}): {e}",
+                e.rule()
+            ),
+        },
+        other => Refusal::internal(other.to_string()),
+    }
 }
 
 /// Runs one packed batch on the group's validated instruction tape at
@@ -883,9 +881,10 @@ mod tests {
         // `prepared` would.
         let design = pe_designs::defects::structural_defect_design("Defect_Comb_Cycle")
             .expect("structural defect exists");
-        let refusal = compile_tape(&design)
+        let err = pe_tape::Tape::compile_optimized(&design)
             .map(|_| ())
             .expect_err("a combinational cycle must not compile");
+        let refusal = prepare_refusal(design.name(), FlowError::Tape(err));
         assert_eq!(refusal.code, ErrorCode::TapeUnverified);
         assert!(
             refusal.message.contains("comb-cycle"),

@@ -149,6 +149,30 @@ impl TapeCertificate {
     pub fn instructions_removed(&self) -> u64 {
         self.pre_instructions.saturating_sub(self.post_instructions)
     }
+
+    /// The certificate as space-separated `tape_*` `key=value` fields:
+    /// the form the lint bench's `--machine` lines and the served-tape
+    /// fixture lock, so the two cannot drift.
+    pub fn machine_fields(&self) -> String {
+        let mut out = format!(
+            "tape_pre_instructions={} tape_post_instructions={} tape_pre_planes={} \
+             tape_post_planes={} tape_validated={} tape_netlist_fnv128={} tape_ir_fnv128={}",
+            self.pre_instructions,
+            self.post_instructions,
+            self.pre_planes,
+            self.post_planes,
+            self.validated,
+            self.netlist_fnv128,
+            self.ir_fnv128,
+        );
+        for p in &self.passes {
+            out.push_str(&format!(
+                " tape_pass={}:{}->{}",
+                p.pass, p.instructions_before, p.instructions_after
+            ));
+        }
+        out
+    }
 }
 
 // ---------------------------------------------------------------------

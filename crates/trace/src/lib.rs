@@ -15,10 +15,9 @@
 //! * [`metrics`] — a thread-safe registry of counters, gauges, and
 //!   log-scale histograms. Engine crates expose cheap counters (cycles
 //!   settled, gate toggles); harness sinks and benches register them
-//!   here and render one unified table or JSON document.
-//! * [`profile`] — scoped wall-clock timers ([`Profiler::scope`])
-//!   around flow stages and jobs, emitted as machine-readable JSONL
-//!   plus a human summary table.
+//!   here and render one unified table or JSON document. Flow stages
+//!   and run phases are timed into its histograms with
+//!   [`Registry::time_us`].
 //!
 //! The crate depends only on `pe-util` (dependency policy §6 of
 //! DESIGN.md): engines feed raw accumulator readings *into* the
@@ -29,11 +28,9 @@
 #![warn(missing_docs)]
 
 pub mod metrics;
-pub mod profile;
 pub mod waveform;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricValue, Registry};
-pub use profile::{Profiler, SpanRecord};
 pub use waveform::{
     CaptureMode, Channel, ChannelKind, Divergence, PowerSample, PowerWaveform, WaveformError,
     WaveformRecorder,

@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Clone, Default)]
@@ -154,7 +155,7 @@ pub enum MetricValue {
 }
 
 /// The metrics registry. Cloning shares the underlying store, so one
-/// registry can be handed to the harness sink, the flow profiler, and
+/// registry can be handed to the harness sink, the flow stages, and
 /// every engine adapter of a run.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
@@ -213,6 +214,17 @@ impl Registry {
             Metric::Histogram(h) => h.clone(),
             _ => panic!("metric `{name}` is not a histogram"),
         }
+    }
+
+    /// Runs `f` and records its wall clock, in microseconds, as one
+    /// observation of the histogram `name`: the one way flow stages and
+    /// run phases are timed.
+    pub fn time_us<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = f();
+        self.histogram(name)
+            .observe(start.elapsed().as_micros() as u64);
+        out
     }
 
     /// A sorted point-in-time snapshot of every registered metric.
@@ -290,13 +302,13 @@ impl Registry {
 }
 
 /// Escapes a string for embedding in a JSON document.
-pub(crate) fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Renders an `f64` as a JSON number (finite values only; non-finite
 /// values render as 0 to keep the document valid).
-pub(crate) fn json_f64(v: f64) -> String {
+fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
     } else {
@@ -350,6 +362,19 @@ mod tests {
         assert!(json.contains("\"z_last\": 1"));
         assert!(json.contains("\"m_mid\": {\"count\": 1, \"sum\": 7, \"max\": 7}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn time_us_records_one_observation_per_call() {
+        let reg = Registry::new();
+        let v = reg.time_us("stage_us", || 7);
+        assert_eq!(v, 7);
+        reg.time_us("stage_us", || {
+            std::thread::sleep(std::time::Duration::from_millis(2))
+        });
+        let h = reg.histogram("stage_us");
+        assert_eq!(h.count(), 2);
+        assert!(h.max() >= 2000, "slept 2 ms, recorded {} us", h.max());
     }
 
     #[test]

@@ -59,14 +59,22 @@ cargo run -p pe-bench --release --offline --bin trace -- --scale test --jobs 2 \
   --out "$out/BENCH_trace.json" --waveform-dir "$out/waveforms"
 grep -q '"engine": "tape"' "$out/BENCH_trace.json"
 
-echo "== lint gate with tape certificates (--deny all --machine --tape) vs locked fixture"
+# The lint run also prepares and validates every served tape, and exits
+# 1 if one fails; its --machine lines carry the plain-tape certificates.
+echo "== lint gate with tape certificates (--deny all --machine) vs locked fixture"
 cargo run -p pe-bench --release --offline --quiet --bin lint -- \
-  --scale test --jobs 2 --deny all --machine --tape 2>/dev/null > "$out/LINT_machine.txt"
+  --scale test --jobs 2 --deny all --machine 2>/dev/null > "$out/LINT_machine.txt"
 diff -u tests/golden/lint_machine.txt "$out/LINT_machine.txt"
 
 echo "== tape certificates validated for all suite designs"
 [ "$(grep -c ' tape_validated=true ' "$out/LINT_machine.txt")" -eq 7 ]
 ! grep -q 'tape_validated=false' "$out/LINT_machine.txt"
+
+# tests/certify.rs diffs the served tapes against this fixture; a bless
+# must not lock a tape the validator rejected.
+echo "== served-tape fixture holds 7 validated certificates"
+[ "$(grep -c ' tape_validated=true ' tests/golden/served_tapes.txt)" -eq 7 ]
+! grep -q 'tape_validated=false' tests/golden/served_tapes.txt
 
 echo "== serve smoke (stdio transport: ping, submit, drained shutdown)"
 serve_out=$(printf 'ping\nsubmit id=smoke design=Bubble_Sort cycles=64 seed=1\nshutdown\n' \

@@ -15,42 +15,47 @@
 //!
 //! Every comparison also reports its slack, so a certificate that goes
 //! vacuously loose (or suspiciously tight) is visible in test output.
+//!
+//! The suite is prepared exactly as `pe-serve` prepares it
+//! ([`PowerEmulationFlow::stage_prepare`]), so the served tapes'
+//! certificates are locked here too, in `tests/golden/served_tapes.txt`.
+//! If a change to them is intentional, regenerate the fixture with
+//! `PE_BLESS=1 cargo test --test certify` and review the diff.
 
 use power_emulation::designs::suite::{all_benchmarks, Benchmark};
-use power_emulation::instrument::InstrumentedDesign;
-use power_emulation::lint::{lint_instrumented, Denylist, LintReport};
+use power_emulation::lint::Denylist;
 use power_emulation::sim::Simulator;
-use power_emulation::trace::PowerWaveform;
+use power_emulation::trace::{PowerWaveform, Registry};
 use std::path::PathBuf;
 
-use power_emulation::core::PowerEmulationFlow;
+use power_emulation::core::{PowerEmulationFlow, Prepared};
 use power_emulation::power::CharacterizeConfig;
 
-/// Cycles per design for the live replays (matches `tests/trace.rs`:
-/// tier-1 runs in debug, so the big designs get short workloads).
+/// Cycles per design for the live replays (tier-1 runs in debug, so the
+/// big designs get short workloads).
 fn budget(name: &str) -> u64 {
     match name {
-        "MPEG4" => 80,
-        "DCT" | "IDCT" => 200,
+        "MPEG4" => 240,
+        "DCT" | "IDCT" => 600,
         _ => 400,
     }
 }
 
-/// The instrumented suite plus its lint reports, built once: the lint
-/// pass itself is cheap, but instrumenting DCT/IDCT/MPEG4 in debug is
+/// The suite as served — instrumented, linted, and compiled to a
+/// validated tape — built once: instrumenting DCT/IDCT/MPEG4 in debug is
 /// tens of seconds.
-fn certified(bench: &Benchmark) -> &'static (InstrumentedDesign, LintReport) {
-    static CERTIFIED: std::sync::OnceLock<Vec<(String, (InstrumentedDesign, LintReport))>> =
-        std::sync::OnceLock::new();
+fn certified(bench: &Benchmark) -> &'static Prepared {
+    static CERTIFIED: std::sync::OnceLock<Vec<(String, Prepared)>> = std::sync::OnceLock::new();
     let all = CERTIFIED.get_or_init(|| {
         all_benchmarks()
             .iter()
             .map(|bench| {
                 let flow = PowerEmulationFlow::new().with_characterize(CharacterizeConfig::fast());
                 flow.prepare_models(&bench.design).expect("characterize");
-                let inst = flow.stage_instrument(&bench.design).expect("instrument").0;
-                let report = lint_instrumented(&inst, None);
-                (bench.name.to_string(), (inst, report))
+                let prepared = flow
+                    .stage_prepare(&bench.design, &Registry::new())
+                    .expect("prepare");
+                (bench.name.to_string(), prepared)
             })
             .collect()
     });
@@ -69,7 +74,8 @@ fn waveform_path(name: &str) -> PathBuf {
 #[test]
 fn every_suite_design_is_certified_per_domain() {
     for bench in all_benchmarks() {
-        let (inst, report) = certified(&bench);
+        let prepared = certified(&bench);
+        let (inst, report) = (&prepared.instrumented, &prepared.report);
         assert!(
             report.is_clean(&Denylist::All),
             "{} is not clean under --deny all:\n{report}",
@@ -101,7 +107,8 @@ fn golden_waveforms_never_exceed_the_certificates() {
         let text =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let wave = PowerWaveform::from_text(&text).expect("golden waveform parses");
-        let (inst, report) = certified(&bench);
+        let prepared = certified(&bench);
+        let (inst, report) = (&prepared.instrumented, &prepared.report);
         // Guard against config drift: the certificate's energy scale must
         // be the scale the fixture was recorded at, or the comparison is
         // meaningless.
@@ -159,7 +166,8 @@ fn golden_waveforms_never_exceed_the_certificates() {
 #[test]
 fn live_replays_never_exceed_the_certificates() {
     for bench in all_benchmarks() {
-        let (inst, report) = certified(&bench);
+        let prepared = certified(&bench);
+        let (inst, report) = (&prepared.instrumented, &prepared.report);
         let cycles = budget(bench.name);
         let mut sim = Simulator::new(&inst.design).expect("serial sim");
         let mut tb = bench.testbench_shard(cycles, 0);
@@ -197,4 +205,51 @@ fn live_replays_never_exceed_the_certificates() {
             }
         );
     }
+}
+
+/// The served tape of every suite design is locked: its pre/post
+/// instruction and plane counts, netlist and IR digests, per-pass deltas
+/// and validated flag, one `design=… tape_…` line per design, rendered
+/// by the same [`TapeCertificate::machine_fields`] the lint bench uses.
+///
+/// [`TapeCertificate::machine_fields`]: power_emulation::tape::TapeCertificate::machine_fields
+#[test]
+fn served_tapes_match_the_golden_fixture() {
+    let mut got = String::new();
+    for bench in all_benchmarks() {
+        let cert = &certified(&bench).certificate;
+        assert!(
+            cert.validated,
+            "{}: served tape failed translation validation: {:?}",
+            bench.name, cert.reason
+        );
+        got.push_str(&format!(
+            "design={} {}\n",
+            bench.name,
+            cert.machine_fields()
+        ));
+    }
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/served_tapes.txt");
+    if std::env::var_os("PE_BLESS").is_some_and(|v| v == "1") {
+        std::fs::write(&path, &got).expect("write served_tapes.txt");
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {} ({e}); regenerate with PE_BLESS=1 cargo test --test certify",
+            path.display()
+        )
+    });
+    for (want, got) in want.lines().zip(got.lines()) {
+        assert_eq!(
+            want, got,
+            "served tape diverged (if intentional: PE_BLESS=1 cargo test --test certify)"
+        );
+    }
+    assert_eq!(
+        want.lines().count(),
+        got.lines().count(),
+        "served_tapes.txt must hold one line per suite design"
+    );
 }

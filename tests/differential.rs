@@ -127,17 +127,23 @@ fn wide_rtl_matches_serial_rtl_at_256_lanes() {
 /// equal per lane between a run on the optimized, certified tape (what
 /// a served batch runs) and fresh serial runs.
 fn instrumented_readout_matches_at<W: LaneWord>() {
-    use power_emulation::core::PowerEmulationFlow;
+    use power_emulation::core::{PowerEmulationFlow, Prepared};
     use power_emulation::power::CharacterizeConfig;
+    use power_emulation::trace::Registry;
 
     for name in ["Bubble_Sort", "HVPeakF"] {
         let bench = benchmark(name).unwrap();
         let cycles = 200 / (W::LANES as u64 / 64).max(1);
         let flow = PowerEmulationFlow::new().with_characterize(CharacterizeConfig::fast());
         flow.prepare_models(&bench.design).expect("characterize");
-        let (instrumented, _) = flow.stage_instrument(&bench.design).expect("instrument");
-        let (tape, cert) =
-            Tape::compile_optimized(&instrumented.design).expect("instrumented tape compiles");
+        let Prepared {
+            instrumented,
+            tape,
+            certificate: cert,
+            ..
+        } = flow
+            .stage_prepare(&bench.design, &Registry::new())
+            .expect("instrumented tape compiles");
         assert!(
             cert.validated,
             "{name}: optimized instrumented tape failed translation validation: {:?}",

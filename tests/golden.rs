@@ -83,8 +83,8 @@ struct Fixture {
     /// Locked instruction and plane counts of the *optimized* tape
     /// (after the verified pass pipeline). Regeneration asserts the
     /// optimized tape is translation-validated, strictly smaller than
-    /// the unoptimized program, and waveform-identical to the graph
-    /// engine — so a pass regression shows up as a fixture diff.
+    /// the unoptimized program, and waveform-identical to the serial
+    /// RTL engine — so a pass regression shows up as a fixture diff.
     tape_opt_instructions: u64,
     tape_opt_planes: u64,
     /// Cycles hashed per per-width tape digest.

@@ -299,7 +299,7 @@ fn assert_lanes_match_serial<W: LaneWord>(
 /// Drives the serial wrapper over `tape` and a serial [`Simulator`] of
 /// `design` with one identical random stream and demands the same
 /// output on every cycle.
-fn assert_serial_tape_matches_graph(
+fn assert_serial_tape_matches_oracle(
     design: &Design,
     tape: &power_emulation::tape::Tape,
     width: u32,
@@ -309,20 +309,20 @@ fn assert_serial_tape_matches_graph(
     use power_emulation::tape::TapeSimulator;
 
     let mask = pe_util::bits::mask(width);
-    let mut graph = Simulator::new(design).unwrap();
+    let mut oracle = Simulator::new(design).unwrap();
     let mut serial_tape = TapeSimulator::new(tape);
     for cycle in 0..rng.range(2, 13) {
         let (a, b) = (rng.bits(12) & mask, rng.bits(12) & mask);
-        graph.set_input_by_name("a", a);
-        graph.set_input_by_name("b", b);
+        oracle.set_input_by_name("a", a);
+        oracle.set_input_by_name("b", b);
         serial_tape.set_input_by_name("a", a);
         serial_tape.set_input_by_name("b", b);
         assert_eq!(
-            graph.output("out"),
+            oracle.output("out"),
             serial_tape.output("out"),
             "serial tape diverged at cycle {cycle} ({case})"
         );
-        graph.step();
+        oracle.step();
         serial_tape.step();
     }
 }
@@ -354,21 +354,31 @@ fn any_wide_lane_equals_a_fresh_serial_run() {
     wide_lane_equals_serial_at::<[u64; 4]>(4);
 }
 
-/// The serial compiled tape agrees with the serial graph interpreter
+/// The serial compiled tape agrees with the serial oracle
 /// cycle-for-cycle on random netlists, including designs with
 /// uninitialized pipeline registers.
 #[test]
-fn tape_agrees_with_graph_on_random_designs() {
+fn tape_agrees_with_serial_oracle_on_random_designs() {
     use power_emulation::tape::Tape;
 
-    check("tape_agrees_with_graph_on_random_designs", 32, |rng| {
-        let width = rng.range(2, 11) as u32;
-        let ops = random_ops(rng);
-        let uninit = rng.bits(1) == 1;
-        let design = random_design_regs(width, &ops, uninit);
-        let tape = Tape::compile(&design).expect("random design compiles");
-        assert_serial_tape_matches_graph(&design, &tape, width, rng, &format!("uninit: {uninit}"));
-    });
+    check(
+        "tape_agrees_with_serial_oracle_on_random_designs",
+        32,
+        |rng| {
+            let width = rng.range(2, 11) as u32;
+            let ops = random_ops(rng);
+            let uninit = rng.bits(1) == 1;
+            let design = random_design_regs(width, &ops, uninit);
+            let tape = Tape::compile(&design).expect("random design compiles");
+            assert_serial_tape_matches_oracle(
+                &design,
+                &tape,
+                width,
+                rng,
+                &format!("uninit: {uninit}"),
+            );
+        },
+    );
 }
 
 /// The verified optimization pipeline holds up under randomized
@@ -376,7 +386,7 @@ fn tape_agrees_with_graph_on_random_designs() {
 /// (the validator never rejects a faithful pipeline output, including
 /// designs with uninitialized pipeline registers), the optimized tape
 /// never grows the program, and the optimized tape's behaviour matches
-/// the serial graph interpreter cycle-for-cycle — on the serial tape,
+/// the serial oracle cycle-for-cycle — on the serial tape,
 /// and on every lane of a 64-lane wide run with independent per-lane
 /// streams, each replayed serially.
 #[test]
@@ -406,7 +416,7 @@ fn optimized_tape_certifies_and_agrees_on_random_designs() {
             tape.check_well_formed()
                 .expect("optimized tape stays well-formed");
             let case = format!("optimized, uninit: {uninit}");
-            assert_serial_tape_matches_graph(&design, &tape, width, rng, &case);
+            assert_serial_tape_matches_oracle(&design, &tape, width, rng, &case);
             assert_lanes_match_serial::<u64>(&design, &tape, width, rng, &case);
         },
     );

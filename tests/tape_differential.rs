@@ -9,8 +9,8 @@
 //!
 //! * serial tape vs the serial oracle on every output, every cycle, for
 //!   the full seven-design benchmark suite;
-//! * compiled and optimized tapes vs the graph interpreter (the serial
-//!   oracle, one run per lane), on every output of every lane, at 1, 64,
+//! * compiled and optimized tapes vs the serial oracle (one run per
+//!   lane), on every output of every lane, at 1, 64,
 //!   128, and 256 lanes;
 //! * gate-level switching energy with tape lanes supplying the stimulus
 //!   (bit-exact f64 on spot lanes against gate runs fed by the serial
@@ -83,25 +83,25 @@ fn inputs(bench: &Benchmark) -> Vec<(String, power_emulation::rtl::SignalId)> {
 /// The serial tape interpreter reproduces the serial oracle on every
 /// output, every cycle, across the whole suite.
 #[test]
-fn serial_tape_matches_serial_graph_on_every_output() {
+fn serial_tape_matches_serial_oracle_on_every_output() {
     for bench in all_benchmarks() {
         let cycles = budget(bench.name, 64).min(bench.cycles(Scale::Test));
         let outs = outputs(&bench);
         let tape = Tape::compile(&bench.design).expect("tape compiles");
 
-        let mut graph = Simulator::new(&bench.design).expect("serial sim");
+        let mut oracle = Simulator::new(&bench.design).expect("serial sim");
         let mut taped = TapeSimulator::new(&tape);
-        let mut graph_tb = bench.testbench(cycles);
+        let mut oracle_tb = bench.testbench(cycles);
         let mut tape_tb = bench.testbench(cycles);
 
         for cycle in 0..cycles {
-            graph_tb.apply(cycle, &mut graph);
+            oracle_tb.apply(cycle, &mut oracle);
             tape_tb.apply(cycle, &mut taped);
-            graph_tb.observe(cycle, &mut graph);
+            oracle_tb.observe(cycle, &mut oracle);
             tape_tb.observe(cycle, &mut taped);
             for (name, sig) in &outs {
                 let got = taped.value(*sig);
-                let want = graph.value(*sig);
+                let want = oracle.value(*sig);
                 assert_eq!(
                     got, want,
                     "{}::{name} diverged: first at cycle {cycle} \
@@ -109,20 +109,20 @@ fn serial_tape_matches_serial_graph_on_every_output() {
                     bench.name
                 );
             }
-            graph.step();
+            oracle.step();
             taped.step();
         }
     }
 }
 
-/// Every lane of a wide tape reproduces the graph interpreter — the
-/// serial reference [`Simulator`], run once per lane on that lane's
+/// Every lane of a wide tape reproduces the serial oracle — the
+/// reference [`Simulator`], run once per lane on that lane's
 /// stimulus shard — output for output, cycle for cycle. With
 /// `optimized`, the tape is the verified pass pipeline's output; its
 /// certificate must validate and show the passes removed instructions,
 /// so the translation validator's probe-based proof is backed by this
 /// full differential matrix.
-fn tape_matches_graph_at<W: LaneWord>(optimized: bool) {
+fn tape_matches_oracle_at<W: LaneWord>(optimized: bool) {
     let engine = if optimized { "optimized tape" } else { "tape" };
     for bench in all_benchmarks() {
         let cycles = budget(bench.name, W::LANES).min(bench.cycles(Scale::Test));
@@ -147,81 +147,81 @@ fn tape_matches_graph_at<W: LaneWord>(optimized: bool) {
         };
 
         let mut wide = WideTapeSimulator::<W>::new(&tape);
-        let mut graphs: Vec<Simulator<'_>> = (0..W::LANES)
+        let mut oracles: Vec<Simulator<'_>> = (0..W::LANES)
             .map(|_| Simulator::new(&bench.design).expect("serial sim"))
             .collect();
         let mut tape_tbs = bench.testbench_shards(cycles, W::LANES);
-        let mut graph_tbs = bench.testbench_shards(cycles, W::LANES);
+        let mut oracle_tbs = bench.testbench_shards(cycles, W::LANES);
 
         for cycle in 0..cycles {
             for lane in 0..W::LANES {
                 tape_tbs[lane].apply(cycle, &mut wide.lane(lane));
-                graph_tbs[lane].apply(cycle, &mut graphs[lane]);
+                oracle_tbs[lane].apply(cycle, &mut oracles[lane]);
             }
             for lane in 0..W::LANES {
                 tape_tbs[lane].observe(cycle, &mut wide.lane(lane));
-                graph_tbs[lane].observe(cycle, &mut graphs[lane]);
+                oracle_tbs[lane].observe(cycle, &mut oracles[lane]);
             }
             for (name, sig) in &outs {
-                for (lane, graph) in graphs.iter_mut().enumerate() {
+                for (lane, oracle) in oracles.iter_mut().enumerate() {
                     let got = wide.value_lane(*sig, lane);
-                    let want = graph.value(*sig);
+                    let want = oracle.value(*sig);
                     assert_eq!(
                         got,
                         want,
                         "{}::{name} diverged on the {engine}: width {}, lane {lane}, \
-                         first at cycle {cycle} ({engine} {got:#x}, graph {want:#x})",
+                         first at cycle {cycle} ({engine} {got:#x}, serial {want:#x})",
                         bench.name,
                         W::LANES
                     );
                 }
             }
             wide.step();
-            for g in &mut graphs {
-                g.step();
+            for o in &mut oracles {
+                o.step();
             }
         }
     }
 }
 
 #[test]
-fn wide_tape_matches_wide_graph_at_1_lane() {
-    tape_matches_graph_at::<bool>(false);
+fn wide_tape_matches_serial_oracle_at_1_lane() {
+    tape_matches_oracle_at::<bool>(false);
 }
 
 #[test]
-fn wide_tape_matches_wide_graph_at_64_lanes() {
-    tape_matches_graph_at::<u64>(false);
+fn wide_tape_matches_serial_oracle_at_64_lanes() {
+    tape_matches_oracle_at::<u64>(false);
 }
 
 #[test]
-fn wide_tape_matches_wide_graph_at_128_lanes() {
-    tape_matches_graph_at::<[u64; 2]>(false);
+fn wide_tape_matches_serial_oracle_at_128_lanes() {
+    tape_matches_oracle_at::<[u64; 2]>(false);
 }
 
 #[test]
-fn wide_tape_matches_wide_graph_at_256_lanes() {
-    tape_matches_graph_at::<[u64; 4]>(false);
+fn wide_tape_matches_serial_oracle_at_256_lanes() {
+    tape_matches_oracle_at::<[u64; 4]>(false);
 }
 
 #[test]
-fn optimized_tape_matches_wide_graph_at_1_lane() {
-    tape_matches_graph_at::<bool>(true);
+fn optimized_tape_matches_serial_oracle_at_1_lane() {
+    tape_matches_oracle_at::<bool>(true);
 }
 
 #[test]
-fn optimized_tape_matches_wide_graph_at_64_lanes() {
-    tape_matches_graph_at::<u64>(true);
+fn optimized_tape_matches_serial_oracle_at_64_lanes() {
+    tape_matches_oracle_at::<u64>(true);
 }
 
 #[test]
-fn optimized_tape_matches_wide_graph_at_128_lanes() {
-    tape_matches_graph_at::<[u64; 2]>(true);
+fn optimized_tape_matches_serial_oracle_at_128_lanes() {
+    tape_matches_oracle_at::<[u64; 2]>(true);
 }
 
 #[test]
-fn optimized_tape_matches_wide_graph_at_256_lanes() {
-    tape_matches_graph_at::<[u64; 4]>(true);
+fn optimized_tape_matches_serial_oracle_at_256_lanes() {
+    tape_matches_oracle_at::<[u64; 4]>(true);
 }
 
 /// Gate-level switching energy is bit-exact when the stimulus comes
