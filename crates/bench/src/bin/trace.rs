@@ -22,10 +22,8 @@
 //! keeps the accumulator-port readback off the hot path (measured
 //! overhead well under 10%), while `--sample-period 1` captures every
 //! boundary at roughly the cost of a second simulation. `--capture`
-//! takes `unbounded`, `ring:N`, or `decimate:N`; the default
-//! `decimate:4096` bounds file sizes while keeping the waveform integral
-//! exact (ring capture drops history, so its integral is only the
-//! retained window — the invariant check is skipped for it).
+//! takes `unbounded` or `decimate:N`; the default `decimate:4096` bounds
+//! file sizes while keeping the waveform integral exact.
 
 use pe_bench::cli::{BenchArgs, CliError, FlagExt};
 use pe_bench::standard_flow;
@@ -46,17 +44,19 @@ struct TraceExt {
 fn parse_capture(raw: &str) -> Result<CaptureMode, CliError> {
     let invalid = || {
         CliError::Invalid(format!(
-            "unknown --capture `{raw}` (expected `unbounded`, `ring:N`, or `decimate:N`)"
+            "unknown --capture `{raw}` (expected `unbounded` or `decimate:N`)"
         ))
     };
     if raw == "unbounded" {
         return Ok(CaptureMode::Unbounded);
     }
-    let (mode, n) = raw.split_once(':').ok_or_else(invalid)?;
-    let cap: usize = n.parse().ok().filter(|&c| c >= 2).ok_or_else(invalid)?;
-    match mode {
-        "ring" => Ok(CaptureMode::Ring(cap)),
-        "decimate" => Ok(CaptureMode::Decimate(cap)),
+    match raw.split_once(':') {
+        Some(("decimate", n)) => n
+            .parse()
+            .ok()
+            .filter(|&c| c >= 2)
+            .map(CaptureMode::Decimate)
+            .ok_or_else(invalid),
         _ => Err(invalid()),
     }
 }
@@ -110,7 +110,7 @@ fn main() {
         "\x20 --out PATH           result JSON path (default: BENCH_trace.json)\n\
          \x20 --waveform-dir DIR   per-design waveform files (default: waveforms/)\n\
          \x20 --sample-period N    sample every N strobes (default: 64)\n\
-         \x20 --capture MODE       unbounded | ring:N | decimate:N (default: decimate:4096)\n\
+         \x20 --capture MODE       unbounded | decimate:N (default: decimate:4096)\n\
          \x20 --lanes N            wide-leg lane width, 64 | 128 | 256 (default: 64)\n",
     );
     let cache = args.open_cache();

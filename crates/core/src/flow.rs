@@ -73,45 +73,9 @@ impl FlowResult {
     /// Models the emulation time for a run of `cycles` using the paper's
     /// methodology: the enhanced design runs at its timing-derived clock,
     /// with capacity effects out of scope (the paper reports Figure 3 this
-    /// way and defers the area/capacity problem to future work — see
-    /// [`FlowResult::emulation_time_partitioned`] for the penalty our
-    /// Ext-4 study quantifies).
+    /// way and defers the area/capacity problem to future work).
     pub fn emulation_time(&self, model: &EmulationTimeModel, cycles: u64) -> EmulationEstimate {
         estimate_emulation_time(&self.mapped, &self.timing, model, cycles, 1)
-    }
-
-    /// Models the emulation time including the multi-device inter-chip
-    /// multiplexing penalty from partitioning (our capacity extension).
-    pub fn emulation_time_partitioned(
-        &self,
-        model: &EmulationTimeModel,
-        cycles: u64,
-    ) -> EmulationEstimate {
-        estimate_emulation_time(
-            &self.mapped,
-            &self.timing,
-            model,
-            cycles,
-            self.partition.clock_divisor,
-        )
-    }
-
-    /// Models the emulation time when the host drains one power sample per
-    /// strobe window, batched by the model's lane-packed readback.
-    pub fn emulation_time_sampled(
-        &self,
-        model: &EmulationTimeModel,
-        cycles: u64,
-    ) -> EmulationEstimate {
-        let strobe = u64::from(self.instrumented.strobe_period.max(1));
-        pe_fpga::emulate::estimate_emulation_time_with_samples(
-            &self.mapped,
-            &self.timing,
-            model,
-            cycles,
-            1,
-            cycles.div_ceil(strobe),
-        )
     }
 }
 
@@ -148,9 +112,11 @@ pub struct PowerEmulationFlow {
     instrument: InstrumentConfig,
     lint_deny: pe_lint::Denylist,
     lint_horizon: Option<u64>,
-    device: DeviceModel,
-    max_devices: u32,
 }
+
+/// Devices the flow may partition onto: a 2005-class multi-FPGA
+/// emulation box of XC2V6000s.
+const MAX_DEVICES: u32 = 64;
 
 impl Default for PowerEmulationFlow {
     fn default() -> Self {
@@ -160,7 +126,7 @@ impl Default for PowerEmulationFlow {
 
 impl PowerEmulationFlow {
     /// A flow with standard settings: per-bit models, 16-bit coefficients,
-    /// a tree aggregator, and XC2V6000 devices (up to 64 of them — a 2005-class multi-FPGA emulation box).
+    /// a tree aggregator, and XC2V6000 devices (up to 64 of them).
     pub fn new() -> Self {
         Self {
             library: RefCell::new(ModelLibrary::new()),
@@ -168,20 +134,11 @@ impl PowerEmulationFlow {
             instrument: InstrumentConfig::default(),
             lint_deny: pe_lint::Denylist::None,
             lint_horizon: None,
-            device: DeviceModel::xc2v6000(),
-            max_devices: 64,
         }
     }
 
-    /// Uses a pre-characterized model library (e.g. loaded from text).
-    pub fn with_library(mut self, library: ModelLibrary) -> Self {
-        self.library = RefCell::new(library);
-        self
-    }
-
-    /// Replaces the internal library in place — the non-consuming form of
-    /// [`PowerEmulationFlow::with_library`], used when a harness restores
-    /// a characterized library from an artifact cache.
+    /// Replaces the internal library with a pre-characterized one, e.g.
+    /// when a harness restores a library from an artifact cache.
     pub fn install_library(&self, library: ModelLibrary) {
         *self.library.borrow_mut() = library;
     }
@@ -218,13 +175,6 @@ impl PowerEmulationFlow {
     pub fn with_lint(mut self, deny: pe_lint::Denylist, horizon_cycles: Option<u64>) -> Self {
         self.lint_deny = deny;
         self.lint_horizon = horizon_cycles;
-        self
-    }
-
-    /// Overrides the target device model.
-    pub fn with_device(mut self, device: DeviceModel, max_devices: u32) -> Self {
-        self.device = device;
-        self.max_devices = max_devices;
         self
     }
 
@@ -324,14 +274,14 @@ impl PowerEmulationFlow {
         analyze_timing(mapped)
     }
 
-    /// Stage 2d: fits the mapped design onto the configured device(s).
+    /// Stage 2d: fits the mapped design onto XC2V6000 devices.
     ///
     /// # Errors
     ///
     /// Returns [`FlowError::Capacity`] when the design exceeds the
     /// platform.
     pub fn stage_partition(&self, mapped: &LutNetlist) -> Result<PartitionResult, FlowError> {
-        partition(mapped, &self.device, self.max_devices, 0.9).map_err(FlowError::Capacity)
+        partition(mapped, &DeviceModel::xc2v6000(), MAX_DEVICES, 0.9).map_err(FlowError::Capacity)
     }
 
     /// Runs steps 1–2 of the flow: model inference, enhancement, FPGA
@@ -395,7 +345,6 @@ impl PowerEmulationFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pe_power::ModelForm;
     use pe_rtl::builder::DesignBuilder;
     use pe_sim::ConstInputs;
 
@@ -546,16 +495,5 @@ mod tests {
                          // Re-running characterizes nothing new.
         flow.prepare_models(&d).unwrap();
         assert_eq!(flow.library().len(), n);
-    }
-
-    #[test]
-    fn configured_forms_flow_through() {
-        let d = small_design();
-        let flow = PowerEmulationFlow::new()
-            .with_characterize(CharacterizeConfig::fast().with_form(ModelForm::PerSignal));
-        let result = flow.run(&d).unwrap();
-        // Per-signal models share coefficients → far fewer distinct terms
-        // survive quantization than the per-bit layout's total bits.
-        assert!(result.instrumented.term_count > 0);
     }
 }

@@ -225,15 +225,6 @@ pub struct EmulationTimeModel {
     pub compile_per_lut_s: f64,
     /// Bitstream download time (seconds).
     pub download_s: f64,
-    /// Host-side time per energy-readback transaction (seconds). Each
-    /// transaction stalls the platform clock while the host drains the
-    /// on-chip energy accumulators over the board interface.
-    pub readback_s_per_batch: f64,
-    /// Power samples drained per readback transaction. The lane-packed
-    /// accumulator file buffers this many strobe-window samples on chip,
-    /// so `ceil(samples / readback_lanes)` transactions suffice instead of
-    /// one per sample.
-    pub readback_lanes: u32,
 }
 
 impl Default for EmulationTimeModel {
@@ -244,17 +235,7 @@ impl Default for EmulationTimeModel {
             compile_base_s: 45.0,
             compile_per_lut_s: 3.0e-3,
             download_s: 4.0,
-            readback_s_per_batch: 2.0e-4,
-            readback_lanes: 64,
         }
-    }
-}
-
-impl EmulationTimeModel {
-    /// Host time to drain `samples` power samples, batched
-    /// [`readback_lanes`](Self::readback_lanes) at a time.
-    pub fn readback_time_s(&self, samples: u64) -> f64 {
-        samples.div_ceil(u64::from(self.readback_lanes.max(1))) as f64 * self.readback_s_per_batch
     }
 }
 
@@ -270,11 +251,7 @@ pub struct EmulationEstimate {
     pub run_time: Duration,
     /// Host-side testbench time.
     pub host_time: Duration,
-    /// Power samples drained from the on-chip energy accumulators.
-    pub samples: u64,
-    /// Host-side time spent on batched energy readback.
-    pub readback_time: Duration,
-    /// Run + host + readback — the number comparable to a software
+    /// Run + host — the number comparable to a software
     /// estimator's wall time (the paper's Figure-3 emulation bar).
     pub total: Duration,
     /// One-time compile (synthesis + P&R) estimate, reported separately.
@@ -293,9 +270,7 @@ impl EmulationEstimate {
 /// Computes the emulation-time estimate for a mapped netlist.
 ///
 /// `clock_divisor` comes from partitioning (1 for a single device). Energy
-/// readback is assumed fully on-chip (no samples drained mid-run); use
-/// [`estimate_emulation_time_with_samples`] when the host periodically
-/// reads the energy accumulators.
+/// readback is on-chip: the accumulators are read once, after the run.
 pub fn estimate_emulation_time(
     netlist: &LutNetlist,
     timing: &TimingReport,
@@ -303,44 +278,16 @@ pub fn estimate_emulation_time(
     cycles: u64,
     clock_divisor: u32,
 ) -> EmulationEstimate {
-    estimate_emulation_time_with_samples(netlist, timing, model, cycles, clock_divisor, 0)
-}
-
-/// Computes the emulation-time estimate when the host drains `samples`
-/// power samples from the on-chip energy accumulators during the run.
-///
-/// With the lane-packed accumulator file, samples buffer on chip and ship
-/// [`EmulationTimeModel::readback_lanes`] at a time:
-///
-/// ```text
-/// T = cycles / f_emu + cycles × host_overhead
-///       + ceil(samples / readback_lanes) × readback_s_per_batch
-/// ```
-///
-/// At one sample per strobe window, `samples = cycles / strobe_period`, so
-/// the readback term shrinks linearly with cycles-per-sample and by
-/// another factor of `readback_lanes` from batching.
-pub fn estimate_emulation_time_with_samples(
-    netlist: &LutNetlist,
-    timing: &TimingReport,
-    model: &EmulationTimeModel,
-    cycles: u64,
-    clock_divisor: u32,
-    samples: u64,
-) -> EmulationEstimate {
     let f_emu = (timing.fmax_mhz / clock_divisor.max(1) as f64).min(model.fmax_cap_mhz);
     let run_s = cycles as f64 / (f_emu * 1e6);
     let host_s = cycles as f64 * model.host_overhead_s_per_cycle;
-    let readback_s = model.readback_time_s(samples);
     let compile_s = model.compile_base_s + model.compile_per_lut_s * netlist.luts().len() as f64;
     EmulationEstimate {
         cycles,
         f_emu_mhz: f_emu,
         run_time: Duration::from_secs_f64(run_s),
         host_time: Duration::from_secs_f64(host_s),
-        samples,
-        readback_time: Duration::from_secs_f64(readback_s),
-        total: Duration::from_secs_f64(run_s + host_s + readback_s),
+        total: Duration::from_secs_f64(run_s + host_s),
         compile_time: Duration::from_secs_f64(compile_s),
         download_time: Duration::from_secs_f64(model.download_s),
     }
@@ -469,68 +416,5 @@ mod tests {
         assert!(e.host_time.as_secs_f64() >= 1.0);
         assert!(e.total > e.run_time);
         assert!(e.cycles_per_second() < 1.1e6);
-    }
-
-    #[test]
-    fn readback_batching_follows_cycles_per_sample_formula() {
-        let mut b = DesignBuilder::new("t");
-        let clk = b.clock("clk");
-        let x = b.input("a", 4);
-        let q = b.pipeline_reg("q", x, 0, clk);
-        b.output("q", q);
-        let d = b.finish().unwrap();
-        let mapped = map_to_luts(&expand_design(&d).netlist);
-        let timing = analyze_timing(&mapped);
-        let model = EmulationTimeModel::default();
-
-        // Pin the formula itself: ceil(samples / lanes) batches.
-        assert_eq!(model.readback_time_s(0), 0.0);
-        assert_eq!(model.readback_time_s(1), model.readback_s_per_batch);
-        assert_eq!(model.readback_time_s(64), model.readback_s_per_batch);
-        assert_eq!(model.readback_time_s(65), 2.0 * model.readback_s_per_batch);
-        let unbatched = EmulationTimeModel {
-            readback_lanes: 1,
-            ..model
-        };
-        // Lane packing shrinks readback host time by exactly the lane count.
-        assert_eq!(
-            unbatched.readback_time_s(6400),
-            64.0 * model.readback_time_s(6400)
-        );
-
-        let cycles = 1_000_000u64;
-        let est = |strobe_period: u64| {
-            estimate_emulation_time_with_samples(
-                &mapped,
-                &timing,
-                &model,
-                cycles,
-                1,
-                cycles.div_ceil(strobe_period),
-            )
-        };
-        // Readback time is additive on top of the sample-free estimate.
-        let free = estimate_emulation_time(&mapped, &timing, &model, cycles, 1);
-        let e16 = est(16);
-        assert_eq!(e16.samples, 62_500);
-        assert!(
-            (e16.total.as_secs_f64()
-                - free.total.as_secs_f64()
-                - model.readback_time_s(e16.samples))
-            .abs()
-                < 1e-12
-        );
-        // Table-2 shape: emulated throughput (≈ speedup over a fixed
-        // software simulator) grows monotonically with cycles-per-sample
-        // and saturates at the readback-free bound.
-        let mut last = 0.0;
-        for strobe in [1u64, 4, 16, 64, 256, 1024, 4096, 16384] {
-            let e = est(strobe);
-            let cps = e.cycles_per_second();
-            assert!(cps > last, "strobe {strobe}: {cps} !> {last}");
-            last = cps;
-        }
-        assert!(last <= free.cycles_per_second());
-        assert!(last > 0.9 * free.cycles_per_second());
     }
 }

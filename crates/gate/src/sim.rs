@@ -33,7 +33,6 @@ pub struct GateSimulator<'a> {
     mem_owner: Vec<u32>,
     mem_state: Vec<Vec<u64>>,
     comp_energy_fj: Vec<f64>,
-    unowned_energy_fj: f64,
     cycle_energy_fj: f64,
     cycle_seq_energy_fj: f64,
     total_energy_fj: f64,
@@ -118,7 +117,6 @@ impl<'a> GateSimulator<'a> {
             mem_owner,
             mem_state,
             comp_energy_fj: vec![0.0; expanded.component_count()],
-            unowned_energy_fj: 0.0,
             cycle_energy_fj: 0.0,
             cycle_seq_energy_fj: 0.0,
             total_energy_fj: 0.0,
@@ -141,12 +139,6 @@ impl<'a> GateSimulator<'a> {
     /// Number of clock edges stepped.
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// Total gate-output toggles accounted so far — the raw switching
-    /// activity behind the toggle-count energy model.
-    pub fn toggle_count(&self) -> u64 {
-        self.toggles
     }
 
     /// Observes this simulator's run counters into `registry`
@@ -229,9 +221,7 @@ impl<'a> GateSimulator<'a> {
     }
 
     fn credit(&mut self, owner: u32, energy: f64) {
-        if owner == 0 {
-            self.unowned_energy_fj += energy;
-        } else {
+        if owner != 0 {
             self.comp_energy_fj[owner as usize - 1] += energy;
         }
         self.cycle_energy_fj += energy;
@@ -291,8 +281,7 @@ impl<'a> GateSimulator<'a> {
             mem_updates.push((read, write));
         }
 
-        // 3. Leakage for the cycle (attributed as unowned overhead).
-        self.unowned_energy_fj += self.leakage_fj_per_cycle;
+        // 3. Leakage for the cycle (no component owns it).
         self.cycle_energy_fj += self.leakage_fj_per_cycle;
 
         // 4. Commit: apply sequential updates, then snapshot. Gate-toggle
@@ -353,12 +342,6 @@ impl<'a> GateSimulator<'a> {
     /// Cumulative energy attributed to RTL component `index`.
     pub fn component_energy_fj(&self, index: usize) -> f64 {
         self.comp_energy_fj[index]
-    }
-
-    /// Cumulative energy not attributable to any RTL component (leakage
-    /// and top-level wiring).
-    pub fn unowned_energy_fj(&self) -> f64 {
-        self.unowned_energy_fj
     }
 
     /// Average power over the run so far, in microwatts

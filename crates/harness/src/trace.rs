@@ -123,23 +123,18 @@ fn traced_serial_run(
     sim.record_metrics(registry);
     let strobes = rec.offered();
     let waveform = rec.finish();
-    // A ring buffer drops history, so its integral covers only the
-    // retained window; the invariant is only meaningful for the
-    // whole-run capture modes.
-    if !matches!(capture, CaptureMode::Ring(_)) {
-        let integral = waveform.integral_fj();
-        if integral.to_bits() != energy.to_bits() {
-            return Err(HarnessError::new(
-                "serial",
-                name,
-                format!(
-                    "waveform integral {integral:e} != energy readback {energy:e} \
-                     (bits {:016x} vs {:016x})",
-                    integral.to_bits(),
-                    energy.to_bits()
-                ),
-            ));
-        }
+    let integral = waveform.integral_fj();
+    if integral.to_bits() != energy.to_bits() {
+        return Err(HarnessError::new(
+            "serial",
+            name,
+            format!(
+                "waveform integral {integral:e} != energy readback {energy:e} \
+                 (bits {:016x} vs {:016x})",
+                integral.to_bits(),
+                energy.to_bits()
+            ),
+        ));
     }
     Ok((waveform, strobes))
 }
@@ -223,15 +218,13 @@ fn traced_wide_run<W: LaneWord>(
     sim.record_metrics(registry);
     registry.gauge("wide.lane_occupancy").set(1.0);
     let waveform = rec.finish();
-    if !matches!(capture, CaptureMode::Ring(_)) {
-        let integral = waveform.integral_fj();
-        if integral.to_bits() != energy.to_bits() {
-            return Err(HarnessError::new(
-                "wide",
-                name,
-                format!("lane 0 waveform integral {integral:e} != energy readback {energy:e}"),
-            ));
-        }
+    let integral = waveform.integral_fj();
+    if integral.to_bits() != energy.to_bits() {
+        return Err(HarnessError::new(
+            "wide",
+            name,
+            format!("lane 0 waveform integral {integral:e} != energy readback {energy:e}"),
+        ));
     }
     Ok(waveform)
 }

@@ -39,11 +39,9 @@ pub struct InstrumentConfig {
     /// bandwidth (ablation Ext-1).
     pub strobe_period: u32,
     /// Total bits of each quantized coefficient word (ablation Ext-2).
+    /// The fraction is the widest that still fits the largest
+    /// characterized coefficient (and per-model base) in this many bits.
     pub coeff_bits: u32,
-    /// Fractional bits of the coefficient format; `None` picks the widest
-    /// fraction such that the largest characterized coefficient (and
-    /// per-model base) still fits `coeff_bits`.
-    pub frac_bits: Option<u32>,
     /// Aggregator topology (ablation Ext-3).
     pub aggregator: AggregatorTopology,
     /// Width of the energy accumulator register.
@@ -60,7 +58,6 @@ impl Default for InstrumentConfig {
         Self {
             strobe_period: 1,
             coeff_bits: 16,
-            frac_bits: None,
             aggregator: AggregatorTopology::Tree,
             accumulator_bits: 48,
             per_model_outputs: false,

@@ -564,17 +564,12 @@ pub fn instrument(
         .iter()
         .map(|(_, m)| m.coeff_max().max(m.base_fj()))
         .fold(0.0f64, f64::max);
-    let frac = match config.frac_bits {
-        Some(f) => f.min(config.coeff_bits),
-        None => {
-            let int_bits = if max_value < 1.0 {
-                0
-            } else {
-                bits::bit_width(max_value.ceil() as u64)
-            };
-            config.coeff_bits.saturating_sub(int_bits)
-        }
+    let int_bits = if max_value < 1.0 {
+        0
+    } else {
+        bits::bit_width(max_value.ceil() as u64)
     };
+    let frac = config.coeff_bits.saturating_sub(int_bits);
     let format = FxFormat::new(config.coeff_bits, frac)
         .map_err(|e| InstrumentError::Config(e.to_string()))?;
 

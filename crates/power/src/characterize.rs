@@ -13,7 +13,7 @@
 //! values, and hold cycles, so the regression sees a range of activity
 //! levels rather than only the 50 %-toggle regime.
 
-use crate::model::{Macromodel, ModelForm, ModelKey, MonitoredLayout};
+use crate::model::{Macromodel, ModelKey, MonitoredLayout};
 use pe_gate::cells::CellLibrary;
 use pe_gate::expand::expand_design;
 use pe_gate::GateSimulator;
@@ -31,8 +31,6 @@ pub struct CharacterizeConfig {
     pub train_cycles: usize,
     /// Held-out validation cycles for the accuracy report.
     pub validate_cycles: usize,
-    /// Model form to fit.
-    pub form: ModelForm,
     /// RNG seed (characterization is fully deterministic).
     pub seed: u64,
     /// Ridge regularization weight.
@@ -45,7 +43,6 @@ impl CharacterizeConfig {
         Self {
             train_cycles: 1500,
             validate_cycles: 300,
-            form: ModelForm::PerBit,
             seed: 0xC0FFEE,
             lambda: 1e-6,
         }
@@ -60,28 +57,18 @@ impl CharacterizeConfig {
         }
     }
 
-    /// Same configuration with a different model form.
-    pub fn with_form(mut self, form: ModelForm) -> Self {
-        self.form = form;
-        self
-    }
-
     /// A stable, injective textual encoding of every field that affects
     /// characterization output. Artifact caches hash this token together
     /// with the netlist text to form a content address, so two configs
     /// produce the same token iff they produce the same models. `lambda`
     /// is encoded by its IEEE-754 bit pattern — decimal formatting is
-    /// not round-trip-exact.
+    /// not round-trip-exact. The literal `form=perbit` stays in the token so
+    /// existing cache addresses do not move.
     pub fn cache_token(&self) -> String {
         format!(
-            "train={} validate={} form={} seed={:#018x} lambda_bits={:016x}",
+            "train={} validate={} form=perbit seed={:#018x} lambda_bits={:016x}",
             self.train_cycles,
             self.validate_cycles,
-            match self.form {
-                ModelForm::PerBit => "perbit",
-                ModelForm::PerSignal => "persignal",
-                ModelForm::Constant => "constant",
-            },
             self.seed,
             self.lambda.to_bits(),
         )
@@ -284,7 +271,6 @@ fn collect_trace(
     design: &Design,
     key: &ModelKey,
     layout: &MonitoredLayout,
-    form: ModelForm,
     cycles: usize,
     seed: u64,
     lib: &CellLibrary,
@@ -313,11 +299,7 @@ fn collect_trace(
         .collect();
     let mut stim = Stimulus::new(key, seed);
 
-    let n_cols = match form {
-        ModelForm::PerBit => layout.total_bits() as usize,
-        ModelForm::PerSignal => layout.signal_count(),
-        ModelForm::Constant => 0,
-    };
+    let n_cols = layout.total_bits() as usize;
 
     let mut rows = Vec::with_capacity(cycles);
     let mut energies = Vec::with_capacity(cycles);
@@ -344,20 +326,12 @@ fn collect_trace(
             let mut row = vec![0.0; n_cols + 1];
             row[n_cols] = 1.0; // intercept
             for (i, (&p, &c)) in prev_vals.iter().zip(&cur_vals).enumerate() {
-                match form {
-                    ModelForm::Constant => {}
-                    ModelForm::PerSignal => {
-                        row[i] = bits::transition_count(p, c, layout.width(i)) as f64;
-                    }
-                    ModelForm::PerBit => {
-                        let mut trans = bits::transition_bits(p, c, layout.width(i));
-                        let off = layout.offset(i) as usize;
-                        while trans != 0 {
-                            let b = trans.trailing_zeros() as usize;
-                            row[off + b] = 1.0;
-                            trans &= trans - 1;
-                        }
-                    }
+                let mut trans = bits::transition_bits(p, c, layout.width(i));
+                let off = layout.offset(i) as usize;
+                while trans != 0 {
+                    let b = trans.trailing_zeros() as usize;
+                    row[off + b] = 1.0;
+                    trans &= trans - 1;
                 }
             }
             rows.push(row);
@@ -382,34 +356,17 @@ pub fn characterize(
 ) -> Result<(Macromodel, CharacterizationReport), CharacterizeError> {
     let design = isolated_design(key)?;
     let layout = MonitoredLayout::of(key);
-    let train = collect_trace(
-        &design,
-        key,
-        &layout,
-        config.form,
-        config.train_cycles,
-        config.seed,
-        lib,
-    )?;
+    let train = collect_trace(&design, key, &layout, config.train_cycles, config.seed, lib)?;
 
-    let n_cols = match config.form {
-        ModelForm::PerBit => layout.total_bits() as usize,
-        ModelForm::PerSignal => layout.signal_count(),
-        ModelForm::Constant => 0,
-    };
-
-    let (mut coeffs, mut base) = if n_cols == 0 {
-        (Vec::new(), stats::mean(&train.energies))
-    } else {
-        let a = Matrix::from_rows(
-            train.rows.len(),
-            n_cols + 1,
-            train.rows.iter().flatten().copied().collect(),
-        );
-        let x = least_squares(&a, &train.energies, config.lambda)
-            .map_err(|e| CharacterizeError::Fit(e.to_string()))?;
-        (x[..n_cols].to_vec(), x[n_cols])
-    };
+    let n_cols = layout.total_bits() as usize;
+    let a = Matrix::from_rows(
+        train.rows.len(),
+        n_cols + 1,
+        train.rows.iter().flatten().copied().collect(),
+    );
+    let x = least_squares(&a, &train.energies, config.lambda)
+        .map_err(|e| CharacterizeError::Fit(e.to_string()))?;
+    let (mut coeffs, mut base) = (x[..n_cols].to_vec(), x[n_cols]);
 
     // Clamp physically meaningless negative coefficients; re-center the
     // intercept with the mean residual so totals stay unbiased.
@@ -430,14 +387,13 @@ pub fn characterize(
     }
     base = base.max(0.0);
 
-    let model = Macromodel::new(config.form, base, coeffs, layout.clone());
+    let model = Macromodel::new(base, coeffs, layout.clone());
 
     // Validation on held-out stimuli.
     let validate = collect_trace(
         &design,
         key,
         &layout,
-        config.form,
         config.validate_cycles,
         config.seed ^ 0x5EED_5EED,
         lib,
@@ -517,8 +473,7 @@ mod tests {
         let (model, _) = characterize(&k, &cells, &cfg).unwrap();
         let design = isolated_design(&k).unwrap();
         let layout = MonitoredLayout::of(&k);
-        let trace =
-            collect_trace(&design, &k, &layout, cfg.form, 500, 0xDEAD_BEEF, &cells).unwrap();
+        let trace = collect_trace(&design, &k, &layout, 500, 0xDEAD_BEEF, &cells).unwrap();
         let reference: f64 = trace.energies.iter().sum();
         let n_cols = layout.total_bits() as usize;
         let predicted: f64 = trace
@@ -556,29 +511,6 @@ mod tests {
             model.base_fj()
         );
         assert!(report.r_squared > 0.8, "R² = {}", report.r_squared);
-    }
-
-    #[test]
-    fn per_signal_form_is_less_accurate_than_per_bit_on_mux() {
-        // Mux energy depends strongly on *which* bit toggles (select vs
-        // data); the per-signal compression should lose accuracy.
-        let k = key(ComponentKind::Mux, &[1, 8, 8], 8);
-        let cfg_bit = CharacterizeConfig::fast();
-        let cfg_sig = CharacterizeConfig::fast().with_form(ModelForm::PerSignal);
-        let (_, rep_bit) = characterize(&k, &lib(), &cfg_bit).unwrap();
-        let (_, rep_sig) = characterize(&k, &lib(), &cfg_sig).unwrap();
-        assert!(rep_bit.r_squared >= rep_sig.r_squared - 0.05);
-    }
-
-    #[test]
-    fn constant_form_predicts_mean() {
-        let k = key(ComponentKind::Xor, &[4, 4], 4);
-        let cfg = CharacterizeConfig::fast().with_form(ModelForm::Constant);
-        let (model, report) = characterize(&k, &lib(), &cfg).unwrap();
-        assert!(model.coeffs().is_empty());
-        assert!(model.base_fj() > 0.0);
-        // Constant models explain ~none of the variance.
-        assert!(report.r_squared < 0.5);
     }
 
     #[test]
@@ -627,18 +559,26 @@ mod tests {
             standard.cache_token(),
             CharacterizeConfig::fast().cache_token()
         );
-        assert_ne!(
-            standard.cache_token(),
-            standard
-                .clone()
-                .with_form(ModelForm::PerSignal)
-                .cache_token()
-        );
         let mut reseeded = CharacterizeConfig::standard();
         reseeded.seed ^= 1;
         assert_ne!(standard.cache_token(), reseeded.cache_token());
         let mut regularized = CharacterizeConfig::standard();
         regularized.lambda *= 2.0;
         assert_ne!(standard.cache_token(), regularized.cache_token());
+    }
+
+    #[test]
+    fn cache_tokens_keep_their_bytes() {
+        // On-disk cache addresses hash these strings; they must not move.
+        assert_eq!(
+            CharacterizeConfig::fast().cache_token(),
+            "train=400 validate=100 form=perbit seed=0x0000000000c0ffee \
+             lambda_bits=3eb0c6f7a0b5ed8d"
+        );
+        assert_eq!(
+            CharacterizeConfig::standard().cache_token(),
+            "train=1500 validate=300 form=perbit seed=0x0000000000c0ffee \
+             lambda_bits=3eb0c6f7a0b5ed8d"
+        );
     }
 }

@@ -13,10 +13,8 @@
 //! (Benini et al.'s cycle-accurate linear regression form, the paper's
 //! reference \[8\]).
 //!
-//! * [`Macromodel`] — the model: a baseline per-cycle energy plus one of
-//!   three coefficient resolutions ([`ModelForm`]): per monitored *bit*
-//!   (the paper's form), per monitored *signal* (Hamming-distance
-//!   compression, an area/accuracy ablation), or constant.
+//! * [`Macromodel`] — the model: a baseline per-cycle energy plus one
+//!   coefficient per monitored bit (the paper's form, and the only one).
 //! * [`characterize`] — the characterization engine: builds an isolated
 //!   instance of a component class, simulates it at the gate level with
 //!   randomized stimuli, and fits the model by ridge-regularized least
@@ -57,4 +55,4 @@ pub use characterize::{
     characterize, is_modelled_kind, CharacterizationReport, CharacterizeConfig, CharacterizeError,
 };
 pub use library::{LibraryParseError, ModelLibrary};
-pub use model::{Macromodel, ModelForm, ModelKey, MonitoredLayout};
+pub use model::{Macromodel, ModelKey, MonitoredLayout};

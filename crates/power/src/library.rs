@@ -5,7 +5,7 @@
 use crate::characterize::{
     characterize, is_modelled_kind, CharacterizationReport, CharacterizeConfig, CharacterizeError,
 };
-use crate::model::{Macromodel, ModelForm, ModelKey, MonitoredLayout};
+use crate::model::{Macromodel, ModelKey, MonitoredLayout};
 use pe_gate::cells::CellLibrary;
 use pe_rtl::{Component, ComponentKind, Design};
 use std::collections::HashMap;
@@ -150,7 +150,7 @@ impl ModelLibrary {
                 )
             };
             out.push_str(&format!(
-                "model {} {} {}{dups} form={} base={} coeffs={}\n",
+                "model {} {} {}{dups} form=perbit base={} coeffs={}\n",
                 kind_to_text(&key.kind),
                 key.in_widths
                     .iter()
@@ -158,11 +158,6 @@ impl ModelLibrary {
                     .collect::<Vec<_>>()
                     .join(","),
                 key.out_width,
-                match model.form() {
-                    ModelForm::PerBit => "perbit",
-                    ModelForm::PerSignal => "persignal",
-                    ModelForm::Constant => "constant",
-                },
                 model.base_fj(),
                 model
                     .coeffs()
@@ -207,7 +202,13 @@ impl ModelLibrary {
             let out_width: u32 = tokens[3]
                 .parse()
                 .map_err(|_| err(format!("bad out width `{}`", tokens[3])))?;
-            let mut form = ModelForm::PerBit;
+            if in_widths
+                .iter()
+                .chain([&out_width])
+                .any(|&w| w == 0 || w > 64)
+            {
+                return Err(err("widths must lie in 1..=64".into()));
+            }
             let mut base = 0.0f64;
             let mut coeffs: Vec<f64> = Vec::new();
             let mut dup_groups: Option<Vec<u8>> = None;
@@ -222,11 +223,8 @@ impl ModelLibrary {
                             );
                         }
                         "form" => {
-                            form = match v {
-                                "perbit" => ModelForm::PerBit,
-                                "persignal" => ModelForm::PerSignal,
-                                "constant" => ModelForm::Constant,
-                                other => return Err(err(format!("unknown form `{other}`"))),
+                            if v != "perbit" {
+                                return Err(err(format!("unknown form `{v}`")));
                             }
                         }
                         "base" => base = v.parse().map_err(|_| err(format!("bad base `{v}`")))?,
@@ -247,6 +245,18 @@ impl ModelLibrary {
                     if dup_groups.len() != in_widths.len() {
                         return Err(err("dups length mismatch".into()));
                     }
+                    // Groups are numbered by first occurrence: each index
+                    // repeats an earlier group or opens the next one.
+                    let mut groups = 0usize;
+                    for &g in &dup_groups {
+                        let g = usize::from(g);
+                        if g > groups {
+                            return Err(err(format!("dups group {g} skips group {groups}")));
+                        }
+                        if g == groups {
+                            groups += 1;
+                        }
+                    }
                     ModelKey {
                         kind,
                         in_widths,
@@ -257,11 +267,7 @@ impl ModelLibrary {
                 None => ModelKey::distinct(kind, in_widths, out_width),
             };
             let layout = MonitoredLayout::of(&key);
-            let expected = match form {
-                ModelForm::PerBit => layout.total_bits() as usize,
-                ModelForm::PerSignal => layout.signal_count(),
-                ModelForm::Constant => 0,
-            };
+            let expected = layout.total_bits() as usize;
             if coeffs.len() != expected {
                 return Err(err(format!(
                     "model {key} expects {expected} coefficients, got {}",
@@ -269,7 +275,7 @@ impl ModelLibrary {
                 )));
             }
             lib.models
-                .insert(key, Macromodel::new(form, base, coeffs, layout));
+                .insert(key, Macromodel::new(base, coeffs, layout));
         }
         Ok(lib)
     }
@@ -465,10 +471,7 @@ mod tests {
             };
             let layout = MonitoredLayout::of(&key);
             let n = layout.total_bits() as usize;
-            lib.insert(
-                key,
-                Macromodel::new(ModelForm::PerBit, 1.25, vec![0.5; n], layout),
-            );
+            lib.insert(key, Macromodel::new(1.25, vec![0.5; n], layout));
         }
         let text = lib.to_text();
         let lib2 = ModelLibrary::from_text(&text).unwrap();
@@ -483,7 +486,29 @@ mod tests {
             ModelLibrary::from_text("model add 4,4 4 form=perbit base=0 coeffs=1,2\n").is_err(),
             "coefficient count mismatch must be rejected"
         );
+        assert!(
+            ModelLibrary::from_text("model add 8,8 8 dups=0,7 base=1 coeffs=\n").is_err(),
+            "group indices must be dense in first-occurrence order"
+        );
+        assert!(
+            ModelLibrary::from_text("model add 4294967295,1 8 base=1 coeffs=\n").is_err(),
+            "widths outside 1..=64 must be rejected"
+        );
+        assert!(ModelLibrary::from_text("model not 1 0 base=1 coeffs=0.5\n").is_err());
         // Comments and blanks are fine.
         assert!(ModelLibrary::from_text("# empty\n\n").unwrap().is_empty());
+    }
+
+    #[test]
+    fn to_text_keeps_its_bytes() {
+        let key = ModelKey::distinct(ComponentKind::Not, vec![1], 1);
+        let layout = MonitoredLayout::of(&key);
+        let mut lib = ModelLibrary::new();
+        lib.insert(key, Macromodel::new(1.25, vec![0.5, 0.25], layout));
+        assert_eq!(
+            lib.to_text(),
+            "# power macromodel library\n\
+             model not 1 1 form=perbit base=1.25 coeffs=0.5,0.25\n"
+        );
     }
 }

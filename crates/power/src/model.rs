@@ -171,32 +171,6 @@ impl MonitoredLayout {
     }
 }
 
-/// Coefficient resolution of a [`Macromodel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ModelForm {
-    /// One coefficient per monitored bit — the paper's cycle-accurate
-    /// linear regression form.
-    PerBit,
-    /// One coefficient per monitored signal, multiplied by the signal's
-    /// Hamming distance. Cheaper hardware (shared coefficient), less
-    /// accurate; used in ablation experiments.
-    PerSignal,
-    /// Baseline only: a constant per-cycle energy. The degenerate ablation
-    /// point.
-    Constant,
-}
-
-impl fmt::Display for ModelForm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ModelForm::PerBit => "per-bit",
-            ModelForm::PerSignal => "per-signal",
-            ModelForm::Constant => "constant",
-        };
-        f.write_str(s)
-    }
-}
-
 /// A characterized power macromodel for one component class.
 ///
 /// Energies are in femtojoules per cycle; `base_fj` captures
@@ -204,7 +178,6 @@ impl fmt::Display for ModelForm {
 /// coefficients the activity-dependent part.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Macromodel {
-    form: ModelForm,
     base_fj: f64,
     coeffs: Vec<f64>,
     layout: MonitoredLayout,
@@ -215,32 +188,21 @@ impl Macromodel {
     ///
     /// # Panics
     ///
-    /// Panics if the coefficient count does not match the form and layout
-    /// (a per-bit model needs `layout.total_bits()` coefficients, a
-    /// per-signal model `layout.signal_count()`, a constant model zero).
-    pub fn new(form: ModelForm, base_fj: f64, coeffs: Vec<f64>, layout: MonitoredLayout) -> Self {
-        let expected = match form {
-            ModelForm::PerBit => layout.total_bits() as usize,
-            ModelForm::PerSignal => layout.signal_count(),
-            ModelForm::Constant => 0,
-        };
+    /// Panics unless there is one coefficient per monitored bit
+    /// (`layout.total_bits()` of them).
+    pub fn new(base_fj: f64, coeffs: Vec<f64>, layout: MonitoredLayout) -> Self {
+        let expected = layout.total_bits() as usize;
         assert_eq!(
             coeffs.len(),
             expected,
-            "{form} model expects {expected} coefficients, got {}",
+            "per-bit model expects {expected} coefficients, got {}",
             coeffs.len()
         );
         Self {
-            form,
             base_fj,
             coeffs,
             layout,
         }
-    }
-
-    /// The model's form.
-    pub fn form(&self) -> ModelForm {
-        self.form
     }
 
     /// Baseline per-cycle energy (femtojoules).
@@ -248,8 +210,8 @@ impl Macromodel {
         self.base_fj
     }
 
-    /// The coefficient vector (interpretation depends on
-    /// [`Macromodel::form`]).
+    /// The coefficient vector: entry `k` weighs a transition of monitored
+    /// bit `k` of the [layout](Macromodel::layout).
     pub fn coeffs(&self) -> &[f64] {
         &self.coeffs
     }
@@ -273,24 +235,13 @@ impl Macromodel {
         debug_assert_eq!(prev.len(), self.layout.signal_count());
         debug_assert_eq!(curr.len(), self.layout.signal_count());
         let mut energy = self.base_fj;
-        match self.form {
-            ModelForm::Constant => {}
-            ModelForm::PerSignal => {
-                for i in 0..prev.len() {
-                    let t = bits::transition_count(prev[i], curr[i], self.layout.width(i));
-                    energy += self.coeffs[i] * t as f64;
-                }
-            }
-            ModelForm::PerBit => {
-                for i in 0..prev.len() {
-                    let mut trans = bits::transition_bits(prev[i], curr[i], self.layout.width(i));
-                    let offset = self.layout.offset(i) as usize;
-                    while trans != 0 {
-                        let b = trans.trailing_zeros() as usize;
-                        energy += self.coeffs[offset + b];
-                        trans &= trans - 1;
-                    }
-                }
+        for i in 0..prev.len() {
+            let mut trans = bits::transition_bits(prev[i], curr[i], self.layout.width(i));
+            let offset = self.layout.offset(i) as usize;
+            while trans != 0 {
+                let b = trans.trailing_zeros() as usize;
+                energy += self.coeffs[offset + b];
+                trans &= trans - 1;
             }
         }
         energy
@@ -300,16 +251,7 @@ impl Macromodel {
     /// energy per cycle; used for fixed-point range planning during
     /// instrumentation.
     pub fn coeff_sum(&self) -> f64 {
-        match self.form {
-            ModelForm::Constant => 0.0,
-            ModelForm::PerSignal => self
-                .coeffs
-                .iter()
-                .enumerate()
-                .map(|(i, c)| c * self.layout.width(i) as f64)
-                .sum(),
-            ModelForm::PerBit => self.coeffs.iter().sum(),
-        }
+        self.coeffs.iter().sum()
     }
 
     /// Largest single coefficient (for quantization format planning).
@@ -317,25 +259,10 @@ impl Macromodel {
         self.coeffs.iter().copied().fold(0.0, f64::max)
     }
 
-    /// The per-bit coefficient for monitored bit `k`, regardless of form
-    /// (a per-signal model's coefficient is shared across its signal's
-    /// bits; a constant model's coefficients are all zero). This is what
-    /// the hardware generator instantiates.
+    /// The coefficient for monitored bit `k` — what the hardware
+    /// generator instantiates.
     pub fn bit_coeff(&self, k: u32) -> f64 {
-        match self.form {
-            ModelForm::Constant => 0.0,
-            ModelForm::PerBit => self.coeffs[k as usize],
-            ModelForm::PerSignal => {
-                // Find the signal containing bit k.
-                for i in 0..self.layout.signal_count() {
-                    let off = self.layout.offset(i);
-                    if k >= off && k < off + self.layout.width(i) {
-                        return self.coeffs[i];
-                    }
-                }
-                unreachable!("bit {k} outside layout")
-            }
-        }
+        self.coeffs[k as usize]
     }
 }
 
@@ -362,7 +289,7 @@ mod tests {
     fn per_bit_eval_sums_transitioned_coefficients() {
         let layout = MonitoredLayout::of(&key_add4());
         let coeffs: Vec<f64> = (0..12).map(|i| i as f64 + 1.0).collect();
-        let m = Macromodel::new(ModelForm::PerBit, 10.0, coeffs, layout);
+        let m = Macromodel::new(10.0, coeffs, layout);
         // a: bits 0 and 3 toggle → coeffs 1 and 4; b: none; out: bit 1 →
         // coeff offset 8+1 = index 9 → value 10.
         let prev = [0b0000, 0b1111, 0b0000];
@@ -371,51 +298,20 @@ mod tests {
     }
 
     #[test]
-    fn per_signal_eval_uses_hamming() {
+    fn coeff_sum_and_bit_coeff_read_the_vector() {
         let layout = MonitoredLayout::of(&key_add4());
-        let m = Macromodel::new(ModelForm::PerSignal, 2.0, vec![1.0, 2.0, 3.0], layout);
-        let prev = [0b0000, 0b0011, 0b0000];
-        let curr = [0b1111, 0b0000, 0b0001];
-        // 4·1 + 2·2 + 1·3 + base 2
-        assert_eq!(m.eval_fj(&prev, &curr), 2.0 + 4.0 + 4.0 + 3.0);
-    }
-
-    #[test]
-    fn constant_eval_is_base() {
-        let layout = MonitoredLayout::of(&key_add4());
-        let m = Macromodel::new(ModelForm::Constant, 7.5, vec![], layout);
-        assert_eq!(m.eval_fj(&[0, 0, 0], &[15, 15, 15]), 7.5);
-    }
-
-    #[test]
-    fn coeff_sum_accounts_for_form() {
-        let layout = MonitoredLayout::of(&key_add4());
-        let per_signal = Macromodel::new(
-            ModelForm::PerSignal,
-            0.0,
-            vec![1.0, 1.0, 1.0],
-            layout.clone(),
-        );
-        assert_eq!(per_signal.coeff_sum(), 12.0); // 4+4+4 bits × 1.0
-        let per_bit = Macromodel::new(ModelForm::PerBit, 0.0, vec![0.5; 12], layout);
-        assert_eq!(per_bit.coeff_sum(), 6.0);
-    }
-
-    #[test]
-    fn bit_coeff_resolves_shared_coefficients() {
-        let layout = MonitoredLayout::of(&key_add4());
-        let m = Macromodel::new(ModelForm::PerSignal, 0.0, vec![1.0, 2.0, 3.0], layout);
-        assert_eq!(m.bit_coeff(0), 1.0);
-        assert_eq!(m.bit_coeff(3), 1.0);
-        assert_eq!(m.bit_coeff(4), 2.0);
-        assert_eq!(m.bit_coeff(11), 3.0);
+        let coeffs: Vec<f64> = (0..12).map(|i| i as f64 * 0.5).collect();
+        let m = Macromodel::new(0.0, coeffs, layout);
+        assert_eq!(m.coeff_sum(), 33.0);
+        assert_eq!(m.bit_coeff(0), 0.0);
+        assert_eq!(m.bit_coeff(11), 5.5);
     }
 
     #[test]
     #[should_panic(expected = "expects 12 coefficients")]
     fn wrong_coeff_count_panics() {
         let layout = MonitoredLayout::of(&key_add4());
-        Macromodel::new(ModelForm::PerBit, 0.0, vec![1.0; 3], layout);
+        Macromodel::new(0.0, vec![1.0; 3], layout);
     }
 
     #[test]

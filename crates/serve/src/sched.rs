@@ -69,7 +69,7 @@ pub struct ServeConfig {
     /// follows the batch size (≤ 64 → 64-lane, ≤ 128 → 128-lane, else
     /// 256-lane), so values above 64 let one pass serve more than a
     /// `u64`'s worth of same-design clients. Clamped to
-    /// [`MAX_LANES`](pe_util::lanes::MAX_LANES).
+    /// [`MAX_LANES`].
     pub lanes: usize,
 }
 

@@ -1,12 +1,13 @@
 //! Wire-protocol round-trip properties: parse→print→parse is the
 //! identity over randomized request and response lines, and malformed
-//! input — including every possible truncation of a valid line — is a
-//! structured error, never a panic.
+//! input — every possible truncation of a valid line, and seeded token
+//! mutants of one — is a structured error, never a panic.
 
 use pe_serve::{
     parse_request, parse_response, ErrorCode, ModelChoice, RejectReason, Request, Response,
     ResultBody, SubmitRequest,
 };
+use std::panic::catch_unwind;
 
 /// Deterministic xorshift so failures reproduce; no external crates.
 struct Rng(u64);
@@ -217,4 +218,83 @@ fn garbage_lines_are_structured_errors() {
         let _ = parse_request(&garbage);
         let _ = parse_response(&garbage);
     }
+}
+
+/// Values a mutant substitutes for a field: empty, zero, a non-number,
+/// a negative, 2³², 2⁶⁴ (one past `u64`), and hex that is too long or
+/// not hex at all.
+const REPLACEMENTS: &[&str] = &[
+    "",
+    "0",
+    "x",
+    "-1",
+    "4294967296",
+    "18446744073709551616",
+    "1ffffffffffffffff",
+    "0xg",
+];
+
+/// One mutant of `line`: one to three edits, each dropping, swapping,
+/// or duplicating a token, or replacing a token's value (the part after
+/// `=`, or the whole token) with one of [`REPLACEMENTS`].
+fn mutate(line: &str, rng: &mut Rng) -> String {
+    let mut tokens: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+    for _ in 0..1 + rng.below(3) {
+        if tokens.is_empty() {
+            break;
+        }
+        let i = rng.below(tokens.len() as u64) as usize;
+        match rng.below(4) {
+            0 => {
+                tokens.remove(i);
+            }
+            1 => {
+                let j = rng.below(tokens.len() as u64) as usize;
+                tokens.swap(i, j);
+            }
+            2 => {
+                let dup = tokens[i].clone();
+                tokens.insert(i, dup);
+            }
+            _ => {
+                let with = REPLACEMENTS[rng.below(REPLACEMENTS.len() as u64) as usize];
+                tokens[i] = match tokens[i].split_once('=') {
+                    Some((key, _)) => format!("{key}={with}"),
+                    None => with.to_string(),
+                };
+            }
+        }
+    }
+    tokens.join(" ")
+}
+
+#[test]
+fn mutated_lines_are_parsed_or_rejected_never_panic() {
+    let mut rng = Rng(0xa54ff53a5f1d36f1);
+    let (mut parsed, mut rejected) = (0usize, 0usize);
+    for _ in 0..2000 {
+        let req_line = mutate(&random_request(&mut rng).to_string(), &mut rng);
+        let resp_line = mutate(&random_response(&mut rng).to_string(), &mut rng);
+        let outcomes = [
+            catch_unwind(|| parse_request(&req_line).map(|_| ()))
+                .unwrap_or_else(|_| panic!("request mutant `{req_line}` panicked")),
+            catch_unwind(|| parse_response(&resp_line).map(|_| ()))
+                .unwrap_or_else(|_| panic!("response mutant `{resp_line}` panicked")),
+        ];
+        for outcome in outcomes {
+            match outcome {
+                Ok(()) => parsed += 1,
+                Err(e) => {
+                    assert!(!e.message.is_empty(), "empty error message");
+                    rejected += 1;
+                }
+            }
+        }
+    }
+    // Both paths must run, or the mutator is too weak (or too strong)
+    // to say anything.
+    assert!(
+        parsed > 0 && rejected > 0,
+        "{parsed} parsed, {rejected} rejected"
+    );
 }

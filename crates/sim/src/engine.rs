@@ -1,7 +1,6 @@
 //! The two-phase synchronous simulation engine.
 
 use pe_rtl::{ComponentId, ComponentKind, Design, DesignError, SignalId};
-use pe_util::bits;
 use pe_util::PortError;
 
 /// Pre-compiled evaluation record for one combinational component.
@@ -333,20 +332,6 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Reads a memory word directly (for test assertions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `component` is not a memory or `addr` is out of range.
-    pub fn memory_word(&self, component: ComponentId, addr: usize) -> u64 {
-        let mem = self
-            .mems
-            .iter()
-            .find(|m| self.design.component(component).output().index() == m.rdata as usize)
-            .unwrap_or_else(|| panic!("component is not a memory"));
-        self.mem_state[mem.state_index][addr]
-    }
-
     /// Resets the simulator to power-on state: registers to `init`,
     /// memories to initial contents, inputs to zero, cycle counter to 0.
     pub fn reset(&mut self) {
@@ -374,12 +359,6 @@ impl<'a> Simulator<'a> {
         }
         self.cycle = 0;
         self.dirty = true;
-    }
-
-    /// Convenience: the masked width of a signal (debug assertions in
-    /// drivers).
-    pub fn signal_mask(&self, signal: SignalId) -> u64 {
-        bits::mask(self.design.signal(signal).width())
     }
 }
 

@@ -1496,25 +1496,6 @@ impl<'t, W: LaneWord> WideTapeSimulator<'t, W> {
         &p.plane_map[base..base + w]
     }
 
-    /// Settles and copies the bit planes of `signal` into `out`
-    /// (`out[i]` = bit `i` across all lanes). The tape's aliasing
-    /// means a signal's planes are not generally contiguous, so packed
-    /// digesting and transition detection copy them out through here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from the signal's width.
-    pub fn read_planes_into(&mut self, signal: SignalId, out: &mut [W]) {
-        self.settle();
-        let p = &self.tape.wide;
-        let base = p.plane_base[signal.index()] as usize;
-        let w = self.tape.widths[signal.index()] as usize;
-        assert_eq!(out.len(), w, "plane buffer width mismatch");
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.planes[p.plane_map[base + i] as usize];
-        }
-    }
-
     /// Advances one clock edge on **all** clock domains in every lane.
     pub fn step(&mut self) {
         self.step_domains(None);

@@ -8,8 +8,8 @@
 //!
 //! * [`waveform`] — strobe-aligned power samples (per clock domain and,
 //!   optionally, per component) captured from any engine that can read
-//!   the instrumented accumulators, with ring-buffer and decimation
-//!   capture modes so arbitrarily long runs stay bounded. Waveforms
+//!   the instrumented accumulators, with a decimating capture mode so
+//!   arbitrarily long runs stay bounded. Waveforms
 //!   serialize to a stable text format with an FNV-1a-128 digest and
 //!   diff sample-by-sample, naming the first diverging sample.
 //! * [`metrics`] — a thread-safe registry of counters, gauges, and

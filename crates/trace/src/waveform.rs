@@ -15,12 +15,10 @@
 //! readings summed in port order, then one multiply by `lsb` and one
 //! by the strobe period).
 //!
-//! Long runs stay bounded via [`CaptureMode`]: `Ring` keeps a sliding
-//! window of the most recent samples (a window, so the full-run
-//! integral is unavailable), while `Decimate` keeps a bounded,
-//! evenly-strided summary of the whole run by doubling its stride each
-//! time the buffer fills — first and last samples are always retained,
-//! so the integral invariant survives decimation.
+//! Long runs stay bounded via [`CaptureMode`]: `Decimate` keeps a
+//! bounded, evenly-strided summary of the whole run by doubling its
+//! stride each time the buffer fills — first and last samples are
+//! always retained, so the integral invariant survives decimation.
 
 use pe_util::hash::Fnv128;
 use std::fmt;
@@ -88,9 +86,6 @@ pub struct PowerSample {
 pub enum CaptureMode {
     /// Keep every sample.
     Unbounded,
-    /// Keep only the most recent `N` samples (a sliding window; the
-    /// full-run integral is not available in this mode).
-    Ring(usize),
     /// Keep at most `N` samples spanning the whole run: when the buffer
     /// fills, every other retained sample is dropped and the accept
     /// stride doubles. The first sample is always retained.
@@ -245,8 +240,6 @@ impl PowerWaveform {
     /// `sum(raw as f64) * lsb * strobe_period as f64`. When the first
     /// sample reads a freshly-reset design (all-zero accumulators),
     /// this equals the engine's cumulative readback **bit-exactly**.
-    ///
-    /// Not meaningful for `Ring` captures, which drop the run's start.
     pub fn integral_fj(&self) -> f64 {
         let (first, last) = match (self.samples.first(), self.samples.last()) {
             (Some(f), Some(l)) => (f, l),
@@ -268,16 +261,6 @@ impl PowerWaveform {
             }
         }
         raw * self.lsb_fj * self.strobe_period as f64
-    }
-
-    /// Mean power in femtojoules per cycle over the retained window
-    /// (domain channels), or 0 for waveforms with fewer than 2 samples.
-    pub fn mean_power_fj_per_cycle(&self) -> f64 {
-        let (first, last) = match (self.samples.first(), self.samples.last()) {
-            (Some(f), Some(l)) if l.cycle > f.cycle => (f, l),
-            _ => return 0.0,
-        };
-        self.integral_fj() / (last.cycle - first.cycle) as f64
     }
 
     /// FNV-1a-128 digest over the retained samples (cycle and raw
@@ -563,13 +546,6 @@ impl WaveformRecorder {
         }
         match self.mode {
             CaptureMode::Unbounded => self.waveform.samples.push(sample),
-            CaptureMode::Ring(cap) => {
-                let cap = cap.max(1);
-                if self.waveform.samples.len() == cap {
-                    self.waveform.samples.remove(0);
-                }
-                self.waveform.samples.push(sample);
-            }
             CaptureMode::Decimate(cap) => {
                 let cap = cap.max(2);
                 let accepted = self.accepted;
@@ -659,7 +635,6 @@ mod tests {
         assert_eq!(wf.len(), 10);
         // (81 - 0) * lsb(0.5) * strobe_period(2).
         assert_eq!(wf.integral_fj(), 81.0);
-        assert_eq!(wf.mean_power_fj_per_cycle(), 81.0 / 18.0);
     }
 
     #[test]
@@ -675,17 +650,6 @@ mod tests {
         rec.offer(0, &[0, 0]).unwrap();
         rec.offer(4, &[10, 7]).unwrap();
         assert_eq!(rec.finish().integral_fj(), 10.0);
-    }
-
-    #[test]
-    fn ring_keeps_the_most_recent_window() {
-        let mut rec = recorder(CaptureMode::Ring(4));
-        for i in 0..10u64 {
-            rec.offer(i, &[i]).unwrap();
-        }
-        let wf = rec.finish();
-        let cycles: Vec<u64> = wf.samples.iter().map(|s| s.cycle).collect();
-        assert_eq!(cycles, vec![6, 7, 8, 9]);
     }
 
     #[test]

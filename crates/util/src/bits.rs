@@ -1,8 +1,8 @@
 //! Bit-twiddling helpers used throughout the workspace.
 //!
 //! RTL signal values are carried as `u64` words (signals are at most 64 bits
-//! wide); these helpers implement the masking and transition-count operations
-//! that both the simulator and the power models rely on.
+//! wide); these helpers implement the masking and transition operations that
+//! both the simulator and the power models rely on.
 
 /// Returns a mask with the low `width` bits set.
 ///
@@ -37,20 +37,6 @@ pub fn mask(width: u32) -> u64 {
 #[inline]
 pub fn truncate(value: u64, width: u32) -> u64 {
     value & mask(width)
-}
-
-/// Number of bit positions that differ between `prev` and `curr` within the
-/// low `width` bits — the Hamming distance, i.e. the total transition count
-/// `Σ T(x_i)` of the paper's macromodel equation.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(pe_util::bits::transition_count(0b1010, 0b1001, 4), 2);
-/// ```
-#[inline]
-pub fn transition_count(prev: u64, curr: u64, width: u32) -> u32 {
-    ((prev ^ curr) & mask(width)).count_ones()
 }
 
 /// Per-bit transition vector: bit `i` of the result is 1 iff bit `i`
@@ -146,17 +132,9 @@ mod tests {
     }
 
     #[test]
-    fn transition_count_respects_width() {
-        // High bits outside the width must not count.
-        assert_eq!(transition_count(0xF0, 0x0F, 4), 4);
-        assert_eq!(transition_count(0xF0, 0x0F, 8), 8);
-        assert_eq!(transition_count(u64::MAX, 0, 64), 64);
-        assert_eq!(transition_count(5, 5, 64), 0);
-    }
-
-    #[test]
     fn transition_bits_is_masked_xor() {
         assert_eq!(transition_bits(0b1100, 0b1010, 3), 0b110);
+        assert_eq!(transition_bits(u64::MAX, 0, 64), u64::MAX);
     }
 
     #[test]

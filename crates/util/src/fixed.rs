@@ -11,20 +11,20 @@
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
-/// A fixed-point format: `total_bits` bits overall, of which `frac_bits`
+/// A fixed-point format: `total_bits` bits overall, of which `fraction_bits`
 /// are fractional. The represented value of a raw word `r` is
-/// `r * 2^-frac_bits`.
+/// `r * 2^-fraction_bits`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FxFormat {
     total_bits: u32,
-    frac_bits: u32,
+    fraction_bits: u32,
 }
 
 /// Error returned when constructing an invalid [`FxFormat`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FxFormatError {
     total_bits: u32,
-    frac_bits: u32,
+    fraction_bits: u32,
 }
 
 impl fmt::Display for FxFormatError {
@@ -32,8 +32,8 @@ impl fmt::Display for FxFormatError {
         write!(
             f,
             "invalid fixed-point format Q{}.{}: total bits must be 1..=63 and cover the fraction",
-            self.total_bits as i64 - self.frac_bits as i64,
-            self.frac_bits
+            self.total_bits as i64 - self.fraction_bits as i64,
+            self.fraction_bits
         )
     }
 }
@@ -41,23 +41,23 @@ impl fmt::Display for FxFormatError {
 impl std::error::Error for FxFormatError {}
 
 impl FxFormat {
-    /// Creates a format with `total_bits` bits, `frac_bits` of them
+    /// Creates a format with `total_bits` bits, `fraction_bits` of them
     /// fractional.
     ///
     /// # Errors
     ///
     /// Returns [`FxFormatError`] if `total_bits` is 0, exceeds 63 (the raw
-    /// word must fit a non-negative `i64`), or is smaller than `frac_bits`.
-    pub fn new(total_bits: u32, frac_bits: u32) -> Result<Self, FxFormatError> {
-        if total_bits == 0 || total_bits > 63 || frac_bits > total_bits {
+    /// word must fit a non-negative `i64`), or is smaller than `fraction_bits`.
+    pub fn new(total_bits: u32, fraction_bits: u32) -> Result<Self, FxFormatError> {
+        if total_bits == 0 || total_bits > 63 || fraction_bits > total_bits {
             return Err(FxFormatError {
                 total_bits,
-                frac_bits,
+                fraction_bits,
             });
         }
         Ok(Self {
             total_bits,
-            frac_bits,
+            fraction_bits,
         })
     }
 
@@ -66,14 +66,9 @@ impl FxFormat {
         self.total_bits
     }
 
-    /// Number of fractional bits.
-    pub fn frac_bits(self) -> u32 {
-        self.frac_bits
-    }
-
-    /// The weight of one least-significant bit, `2^-frac_bits`.
+    /// The weight of one least-significant bit, `2^-fraction_bits`.
     pub fn lsb(self) -> f64 {
-        (-(self.frac_bits as f64)).exp2()
+        (-(self.fraction_bits as f64)).exp2()
     }
 
     /// Largest representable unsigned value.
@@ -117,8 +112,8 @@ impl fmt::Display for FxFormat {
         write!(
             f,
             "Q{}.{}",
-            self.total_bits - self.frac_bits,
-            self.frac_bits
+            self.total_bits - self.fraction_bits,
+            self.fraction_bits
         )
     }
 }
@@ -230,7 +225,7 @@ impl Mul for Fx {
     fn mul(self, rhs: Fx) -> Fx {
         self.check_fmt(rhs);
         let wide = self.raw as i128 * rhs.raw as i128;
-        let shifted = wide >> self.fmt.frac_bits;
+        let shifted = wide >> self.fmt.fraction_bits;
         let max = Self::raw_max(self.fmt) as i128;
         let min = -max - 1;
         let raw = shifted.clamp(min, max) as i64;

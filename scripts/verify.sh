@@ -17,6 +17,10 @@ cargo fmt --all -- --check
 echo "== cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Doc links to renamed or deleted items fail here instead of rotting.
+echo "== cargo doc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo build --release"
 cargo build --workspace --release --offline
 

@@ -1,8 +1,9 @@
 //! Seeded mutation fuzz over the user-reachable text parsers.
 //!
-//! Netlist text and waveform text arrive from files and from the wire,
-//! so every malformed input must come back as a structured error, never
-//! a panic. Each suite design's `to_text` and a golden `.waveform` are
+//! Netlist text, waveform text and model-library text arrive from files
+//! and from the wire, so every malformed input must come back as a
+//! structured error, never a panic. Each suite design's `to_text`, a
+//! golden `.waveform` and Bubble_Sort's characterized model library are
 //! mutated — tokens dropped, tokens swapped, numbers replaced by
 //! boundary values — and every mutant is parsed. A netlist that still
 //! parses is then built into both engines (`pe_sim::Simulator` and
@@ -12,7 +13,8 @@
 //! `words=` is never rewritten: a memory near 2³² words is a legal
 //! netlist whose simulator honestly allocates tens of gigabytes.
 
-use power_emulation::designs::suite::all_benchmarks;
+use power_emulation::designs::suite::{all_benchmarks, benchmark};
+use power_emulation::power::{CharacterizeConfig, ModelLibrary};
 use power_emulation::rtl::text::{from_text, to_text};
 use power_emulation::sim::Simulator;
 use power_emulation::tape::{Tape, TapeSimulator};
@@ -183,4 +185,40 @@ fn mutated_waveforms_are_rejected_or_parsed_never_panic() {
             first_changed_line(golden, &mutant)
         );
     }
+}
+
+#[test]
+fn mutated_model_libraries_are_rejected_or_round_trip_never_panic() {
+    let bench = benchmark("Bubble_Sort").expect("Bubble_Sort is in the suite");
+    let mut library = ModelLibrary::new();
+    library
+        .characterize_design(&bench.design, &CharacterizeConfig::fast())
+        .expect("Bubble_Sort characterizes");
+    let text = library.to_text();
+    let mut rng = Xoshiro::new(0x11b_f022);
+    let mut parsed = 0usize;
+    for _ in 0..MUTANTS {
+        let mutant = mutate(&text, &mut rng);
+        let outcome = catch_unwind(|| {
+            ModelLibrary::from_text(&mutant)
+                .ok()
+                .map(|lib| ModelLibrary::from_text(&lib.to_text()) == Ok(lib))
+        });
+        match outcome {
+            Ok(Some(round_trips)) => {
+                parsed += 1;
+                assert!(
+                    round_trips,
+                    "library mutant does not round-trip at `{}`",
+                    first_changed_line(&text, &mutant)
+                );
+            }
+            Ok(None) => {}
+            Err(_) => panic!(
+                "library mutant panicked at `{}`",
+                first_changed_line(&text, &mutant)
+            ),
+        }
+    }
+    assert!(parsed > 0, "no library mutant parsed");
 }

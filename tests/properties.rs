@@ -15,7 +15,7 @@ use power_emulation::fpga::lut::map_to_luts;
 use power_emulation::gate::cells::CellLibrary;
 use power_emulation::gate::expand::expand_design;
 use power_emulation::gate::GateSimulator;
-use power_emulation::power::{Macromodel, ModelForm, ModelKey, MonitoredLayout};
+use power_emulation::power::{Macromodel, ModelKey, MonitoredLayout};
 use power_emulation::rtl::builder::DesignBuilder;
 use power_emulation::rtl::{text, ComponentKind, Design};
 use power_emulation::sim::Simulator;
@@ -433,7 +433,7 @@ fn macromodel_bounds() {
         let curr = rng.bits(8);
         let key = ModelKey::distinct(ComponentKind::Not, vec![4], 4);
         let layout = MonitoredLayout::of(&key);
-        let model = Macromodel::new(ModelForm::PerBit, 1.0, coeffs, layout);
+        let model = Macromodel::new(1.0, coeffs, layout);
         let (p, c) = (prev & 0xFF, curr & 0xFF);
         let e = model.eval_fj(&[p & 0xF, p >> 4], &[c & 0xF, c >> 4]);
         assert!(e >= model.base_fj() - 1e-12);
